@@ -120,7 +120,8 @@ type SubmitBody struct {
 	// Activity optionally annotates the job with switching activity.
 	Activity *Activity `json:"activity,omitempty"`
 
-	// Measure selects the measurement backend ("" = server default).
+	// Measure names a measurement backend: "", "packed", "fast" or
+	// "dense". It is validated, and every name runs the same kernel.
 	Measure string `json:"measure,omitempty"`
 	// TimeoutMS is the per-job deadline in milliseconds (0 = server
 	// default; clamped to the server maximum).

@@ -181,7 +181,8 @@ type SubmitRequest struct {
 	// explicit per-input factors or a VCD — and adds the weighted
 	// transition metrics block to the job's result document.
 	Activity *api.Activity
-	// Measure selects the measurement backend ("" = server default).
+	// Measure names a measurement backend ("", "packed", "fast" or
+	// "dense"); every name runs the same kernel.
 	Measure string
 	// Timeout bounds the job's runtime (0 = server default).
 	Timeout time.Duration

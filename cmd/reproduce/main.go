@@ -56,10 +56,10 @@ func main() {
 	eng := scanpower.NewEngine(cfg)
 	eng.Workers = *workers
 	if *progress {
-		eng.Hooks = scanpower.Hooks{
-			OnProgress: func(circuit string, done, total int) {
-				fmt.Fprintf(os.Stderr, "reproduce: %d/%d done (%s)\n", done, total, circuit)
-			},
+		eng.Hooks = func(ev scanpower.Event) {
+			if ev.Kind == scanpower.EventProgress {
+				fmt.Fprintf(os.Stderr, "reproduce: %d/%d done (%s)\n", ev.Count, ev.Total, ev.Circuit)
+			}
 		}
 	}
 	fmt.Fprintln(w, "# scanpower reproduction report")

@@ -13,8 +13,9 @@
 //	                             {"source":{"verilog":"...","name":"..."}},
 //	                             optionally {"activity":{"inputs":{...},
 //	                             "default_input":0.2}} or {"activity":
-//	                             {"vcd":"..."}}, plus "measure",
-//	                             "timeout_ms", "wait". The legacy flat
+//	                             {"vcd":"..."}}, plus "timeout_ms",
+//	                             "wait" and the accepted no-op
+//	                             "measure". The legacy flat
 //	                             {"circuit":...}/{"bench":...} body is
 //	                             still accepted byte-compatibly.
 //	GET    /v1/jobs/{id}         job status
@@ -44,7 +45,7 @@
 // Usage:
 //
 //	scanpowerd [-listen 127.0.0.1:8344] [-workers N] [-queue N]
-//	           [-job-timeout 0] [-max-job-timeout 10m] [-measure packed]
+//	           [-job-timeout 0] [-max-job-timeout 10m]
 //	           [-store-dir DIR] [-store-max-bytes N]
 //	           [-self URL] [-peers URL,URL]
 //	           [-trace trace.jsonl] [-manifest run.json] [-drain-timeout 30s]
@@ -77,7 +78,6 @@ func main() {
 	queue := fs.Int("queue", 16, "jobs allowed to wait beyond the running ones")
 	jobTimeout := cliflags.Timeout(fs, "job-timeout", 0, "default per-job deadline for requests without timeout_ms (0 = none)")
 	maxJobTimeout := cliflags.Timeout(fs, "max-job-timeout", 10*time.Minute, "cap on client-requested deadlines (0 = no cap)")
-	measure := cliflags.Measure(fs)
 	lanes := cliflags.Lanes(fs)
 	atpgWorkers := cliflags.ATPGWorkers(fs)
 	self := fs.String("self", "", "this node's externally reachable base URL (e.g. http://10.0.0.1:8344); required with -peers")
@@ -90,7 +90,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*listen, *workers, *queue, *atpgWorkers, *lanes, *jobTimeout, *maxJobTimeout,
-		*measure, *self, *node, cluster, *tracePath, *manifestPath, *drainTimeout,
+		*self, *node, cluster, *tracePath, *manifestPath, *drainTimeout,
 		*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "scanpowerd:", err)
 		os.Exit(1)
@@ -109,14 +109,10 @@ func newLogger(level string) (*slog.Logger, error) {
 }
 
 func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJobTimeout time.Duration,
-	measure, self, node string, cluster *cliflags.Cluster, tracePath, manifestPath string,
+	self, node string, cluster *cliflags.Cluster, tracePath, manifestPath string,
 	drainTimeout time.Duration, logLevel string) error {
 
 	logger, err := newLogger(logLevel)
-	if err != nil {
-		return err
-	}
-	backend, err := cliflags.ValidateMeasure(measure)
 	if err != nil {
 		return err
 	}
@@ -158,7 +154,6 @@ func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJ
 	}
 
 	cfg := scanpower.DefaultConfig()
-	cfg.Measure = backend
 	cfg.Lanes = lanes
 	cfg.ATPG.Workers = atpgWorkers
 	svc := service.New(service.Options{

@@ -47,8 +47,6 @@ func main() {
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write the run manifest JSON to this file")
-	measure := cliflags.Measure(fs)
-	mcBackend := cliflags.MC(fs)
 	lanes := cliflags.Lanes(fs)
 	atpgWorkers := cliflags.ATPGWorkers(fs)
 	flag.Parse()
@@ -90,7 +88,7 @@ func main() {
 	}
 	rec := scanpower.NewRecorder(reg, tw)
 
-	cfg, err := cliflags.BackendConfig(*measure, *mcBackend, *lanes)
+	cfg, err := cliflags.Config(*lanes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tableone:", err)
 		os.Exit(2)
@@ -103,7 +101,7 @@ func main() {
 	eng.Workers = *workers
 	eng.Hooks = rec.Hooks()
 	if *progress {
-		eng.Hooks = scanpower.MergeHooks(progressHooks("tableone"), rec.Hooks())
+		eng.Hooks = scanpower.MergeHooks(printProgress, rec.Hooks())
 	}
 
 	cmps, err := eng.RunAll(ctx, names)
@@ -173,23 +171,21 @@ func writeManifest(path string, rec *scanpower.Recorder, names []string,
 	return m.WriteFile(path)
 }
 
-// progressHooks reports Engine stages and completions on stderr.
-func progressHooks(tool string) scanpower.Hooks {
-	return scanpower.Hooks{
-		OnStageDone: func(circuit, stage string, elapsed time.Duration, info scanpower.StageInfo) {
-			extra := ""
-			if stage == scanpower.StageATPG {
-				if info.CacheHit {
-					extra = " (cached)"
-				} else {
-					extra = fmt.Sprintf(" (%d patterns, %d backtracks)", info.Patterns, info.Backtracks)
-				}
+// printProgress reports Engine stages and completions on stderr.
+func printProgress(ev scanpower.Event) {
+	switch ev.Kind {
+	case scanpower.EventStageDone:
+		extra := ""
+		if ev.Stage == scanpower.StageATPG {
+			if ev.CacheHit {
+				extra = " (cached)"
+			} else {
+				extra = fmt.Sprintf(" (%d patterns, %d backtracks)", ev.Patterns, ev.Backtracks)
 			}
-			fmt.Fprintf(os.Stderr, "%s: %s %s %v%s\n", tool, circuit, stage,
-				elapsed.Round(time.Millisecond), extra)
-		},
-		OnProgress: func(circuit string, done, total int) {
-			fmt.Fprintf(os.Stderr, "%s: %d/%d done (%s)\n", tool, done, total, circuit)
-		},
+		}
+		fmt.Fprintf(os.Stderr, "tableone: %s %s %v%s\n", ev.Circuit, ev.Stage,
+			ev.Elapsed.Round(time.Millisecond), extra)
+	case scanpower.EventProgress:
+		fmt.Fprintf(os.Stderr, "tableone: %d/%d done (%s)\n", ev.Count, ev.Total, ev.Circuit)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/power"
 )
 
-// Stage names reported through Hooks.
+// Stage names reported in Event.Stage.
 const (
 	// StageATPG is pattern generation (PODEM + fault simulation) — the
 	// dominant cost and the stage the Engine memoizes.
@@ -27,346 +27,200 @@ const (
 	StageProposed     = "proposed"
 )
 
-// StageInfo carries per-stage counters to Hooks.OnStageDone.
-type StageInfo struct {
-	// Patterns is the test-set size after the stage (ATPG: generated or
-	// cache-served; measurement stages: applied).
-	Patterns int
-	// Backtracks is the total PODEM backtrack count (ATPG stage only;
-	// zero when the stage was served from the cache).
-	Backtracks int
-	// CacheHit is true when the ATPG stage performed no generation work
-	// because the pattern cache already held the result.
-	CacheHit bool
-	// Failed is true when the stage ended with an error (including
-	// cancellation). Failed stages still emit OnStageDone so start/done
-	// pairs — and any spans built on them — always balance.
-	Failed bool
-}
+// EventKind says what an Event reports, and so which of its counters
+// are set.
+type EventKind uint8
 
-// PodemFaultInfo describes one deterministic PODEM attempt to
-// Hooks.OnPodemFault.
-type PodemFaultInfo struct {
-	// Fault names the target stuck-at fault, e.g. "G17/SA0".
-	Fault string
-	// Outcome is "detected", "untestable", "aborted" or "skipped" (the
-	// MaxPodemFaults cap left the fault unattempted).
-	Outcome string
-	// Backtracks is the search effort this fault cost.
-	Backtracks int
-}
+const (
+	// EventStageStart opens Stage on Circuit. Cache-served ATPG stages
+	// emit it too, immediately followed by their EventStageDone, so
+	// start/done pairs always balance.
+	EventStageStart EventKind = iota + 1
+	// EventStageDone closes Stage after Elapsed, with Patterns (the
+	// test-set size after the stage), Backtracks (fresh ATPG only),
+	// CacheHit (ATPG served from the pattern cache, ~zero Elapsed) and
+	// Failed (the stage ended with an error, cancellation included).
+	EventStageDone
+	// EventProgress reports a circuit of an Engine run finished,
+	// successfully or not: Count circuits of Total are done.
+	EventProgress
+	// EventSubStage is a completed sub-stage Name of Stage: ATPG's
+	// "random"/"podem"/"compact" (with Patterns after the phase) or a
+	// structure build's "observability"/"blocking"/"fill"/"reorder".
+	EventSubStage
+	// EventPodemFault is one deterministic-phase PODEM fault: Name is the
+	// outcome ("detected", "untestable", "aborted" or "skipped"),
+	// Backtracks its search effort. Never emitted for cache-served
+	// stages.
+	EventPodemFault
+	// EventJustify is one justification attempt of a structure build's
+	// blocking search: Failed when no blocking assignment was committed,
+	// Backtracks the branch-and-bound effort.
+	EventJustify
+	// EventObsSamples reports Count more Monte-Carlo observability
+	// vectors simulated.
+	EventObsSamples
+	// EventPattern reports pattern Index (zero-based) measured.
+	EventPattern
+	// EventMeasureBatch is one batch of the measurement kernel: Lanes
+	// scan cycles in Elapsed.
+	EventMeasureBatch
+	// EventMCBatch is one Monte-Carlo batch of a structure build: Name is
+	// "obs" (observability vectors) or "fill" (fill trials), Lanes the
+	// vectors or trials it carried.
+	EventMCBatch
+	// EventFaultSimBatch is one packed fault-dropping pass of the ATPG
+	// stage: Name is "drop" (deterministic-phase buffer flush) or
+	// "compact" (static compaction), Lanes the pattern lanes simulated.
+	EventFaultSimBatch
+	// EventPodemChunk is one chunk of the fault-parallel PODEM scheduler
+	// (Config.ATPG.Workers > 1 only): Count faults from residual-queue
+	// offset Index. Emitted concurrently from worker goroutines.
+	EventPodemChunk
+)
 
-// JustifyInfo describes one justification attempt of the transition
-// blocking search to Hooks.OnJustify.
-type JustifyInfo struct {
-	// Success reports whether a blocking assignment was committed.
-	Success bool
-	// Backtracks is the branch-and-bound effort spent.
+// Event is one observation of a run, shaped like a trace span: which
+// circuit and stage it belongs to, a name, a duration and a few counters.
+// Kind says which fields are set (see EventKind); the rest are zero. An
+// Event holds no maps or interfaces, so emitting one allocates nothing.
+type Event struct {
+	Kind    EventKind
+	Circuit string
+	// Stage is StageATPG, StageTraditional, StageInputControl or
+	// StageProposed ("" for EventProgress).
+	Stage string
+	// Name is the sub-stage, batch kind or PODEM outcome.
+	Name    string
+	Elapsed time.Duration
+
+	Patterns   int
 	Backtracks int
+	Lanes      int
+	Count      int
+	Index      int
+	Total      int
+	CacheHit   bool
+	Failed     bool
 }
 
 // Hooks observes an Engine (or a context-first package function) as it
-// works. Any field may be nil; callbacks must be safe for concurrent use
-// when the Engine runs with more than one worker. The stage callbacks are
-// coarse (four per circuit); the remaining callbacks are the deep
-// instrumentation feed of the telemetry layer (see Recorder) and fire at
-// per-fault / per-pattern granularity, so keep them cheap.
-type Hooks struct {
-	// OnStageStart fires when a stage begins on a circuit. Cache-served
-	// ATPG stages fire it too, immediately followed by their OnStageDone
-	// with CacheHit set, so start/done pairs always balance.
-	OnStageStart func(circuit, stage string)
-	// OnStageDone fires when a stage completes, with its wall time and
-	// counters. Cache-served ATPG stages report ~zero elapsed time and
-	// CacheHit set.
-	OnStageDone func(circuit, stage string, elapsed time.Duration, info StageInfo)
-	// OnProgress fires after each circuit of an Engine run completes
-	// (successfully or not), with the running done count.
-	OnProgress func(circuit string, done, total int)
+// works: every stage boundary, sub-stage, kernel batch, PODEM fault and
+// justification arrives as one Event. A nil Hooks observes nothing and
+// costs nothing. Hooks must be safe for concurrent use when the Engine
+// runs more than one worker (or ATPG more than one PODEM worker), and
+// cheap: the fine-grained kinds fire per fault and per pattern.
+type Hooks func(Event)
 
-	// OnSubStage fires when an instrumented sub-stage completes: ATPG's
-	// "random"/"podem"/"compact" phases and the structure builds'
-	// "observability"/"blocking"/"fill"/"reorder" phases.
-	OnSubStage func(circuit, stage, sub string, elapsed time.Duration, info StageInfo)
-	// OnPodemFault fires after every deterministic-phase PODEM fault
-	// during generation (never for cache-served stages).
-	OnPodemFault func(circuit string, info PodemFaultInfo)
-	// OnJustify fires after every justification attempt of the
-	// input-control and proposed structure builds.
-	OnJustify func(circuit string, info JustifyInfo)
-	// OnObsSamples fires as the Monte-Carlo leakage-observability estimate
-	// progresses, with the vectors simulated since the previous call.
-	OnObsSamples func(circuit string, samples int)
-	// OnPattern fires after each pattern measured during a measurement
-	// stage, with the zero-based pattern index.
-	OnPattern func(circuit, stage string, index int)
-	// OnMeasureBatch fires after the packed measurement kernel evaluates
-	// one batch of bit-parallel lanes, with the number of scan cycles the
-	// batch carried and its wall time. Serial backends never fire it.
-	OnMeasureBatch func(circuit, stage string, lanes int, elapsed time.Duration)
-	// OnMCBatch fires after a packed Monte-Carlo kernel inside a structure
-	// build evaluates one 64-lane batch: kind is "obs" (observability
-	// vectors) or "fill" (fill trials), lanes the vectors/trials carried,
-	// elapsed the batch's evaluation wall time. The scalar MC backend
-	// never fires it.
-	OnMCBatch func(circuit, stage, kind string, lanes int, elapsed time.Duration)
-	// OnFaultSimBatch fires after each packed fault-dropping pass of the
-	// ATPG stage: kind is "drop" (deterministic-phase buffer flush) or
-	// "compact" (static compaction), lanes the pattern lanes the pass
-	// simulated (never for cache-served stages).
-	OnFaultSimBatch func(circuit, kind string, lanes int, elapsed time.Duration)
-	// OnPodemChunk fires after a fault-parallel ATPG scheduler worker
-	// finishes one chunk of the residual fault queue (only when
-	// Config.ATPG.Workers > 1). It is invoked concurrently from worker
-	// goroutines; implementations must be goroutine-safe.
-	OnPodemChunk func(circuit string, start, n int, elapsed time.Duration)
-}
-
-// empty reports whether no callback is set (func fields make Hooks
-// non-comparable, so this stands in for == Hooks{}).
-func (h Hooks) empty() bool {
-	return h.OnStageStart == nil && h.OnStageDone == nil && h.OnProgress == nil &&
-		h.OnSubStage == nil && h.OnPodemFault == nil && h.OnJustify == nil &&
-		h.OnObsSamples == nil && h.OnPattern == nil && h.OnMeasureBatch == nil &&
-		h.OnMCBatch == nil && h.OnFaultSimBatch == nil && h.OnPodemChunk == nil
-}
-
-func (h Hooks) stageStart(circuit, stage string) {
-	if h.OnStageStart != nil {
-		h.OnStageStart(circuit, stage)
+func (h Hooks) emit(ev Event) {
+	if h != nil {
+		h(ev)
 	}
 }
 
-func (h Hooks) stageDone(circuit, stage string, elapsed time.Duration, info StageInfo) {
-	if h.OnStageDone != nil {
-		h.OnStageDone(circuit, stage, elapsed, info)
-	}
-}
-
-func (h Hooks) progress(circuit string, done, total int) {
-	if h.OnProgress != nil {
-		h.OnProgress(circuit, done, total)
-	}
-}
-
-// atpgObserver adapts the deep hooks to an atpg.Observer bound to one
-// circuit. With none of the relevant hooks set it returns the zero
-// Observer, which adds no work to generation.
-func (h Hooks) atpgObserver(c *netlist.Circuit) atpg.Observer {
-	var ob atpg.Observer
-	if h.OnPodemFault != nil {
-		hook := h.OnPodemFault
-		ob.OnPodemFault = func(f atpg.Fault, outcome atpg.PodemOutcome, backtracks int) {
-			hook(c.Name, PodemFaultInfo{
-				Fault:      f.Name(c),
-				Outcome:    outcome.String(),
-				Backtracks: backtracks,
-			})
+// MergeHooks returns hooks that deliver every event to each non-nil
+// argument in argument order. Use it to combine a progress printer with a
+// telemetry Recorder.
+func MergeHooks(hs ...Hooks) Hooks {
+	var live []Hooks
+	for _, h := range hs {
+		if h != nil {
+			live = append(live, h)
 		}
 	}
-	if h.OnSubStage != nil {
-		hook := h.OnSubStage
-		ob.OnPhase = func(phase string, elapsed time.Duration, patterns int) {
-			hook(c.Name, StageATPG, phase, elapsed, StageInfo{Patterns: patterns})
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return func(ev Event) {
+		for _, h := range live {
+			h(ev)
 		}
 	}
-	if h.OnFaultSimBatch != nil {
-		hook := h.OnFaultSimBatch
-		ob.OnFaultSimBatch = func(kind string, lanes int, elapsed time.Duration) {
-			hook(c.Name, kind, lanes, elapsed)
-		}
-	}
-	if h.OnPodemChunk != nil {
-		hook := h.OnPodemChunk
-		ob.OnPodemChunk = func(start, n int, elapsed time.Duration) {
-			hook(c.Name, start, n, elapsed)
-		}
-	}
-	return ob
 }
 
-// coreObserver adapts the deep hooks to a core.Observer bound to one
-// circuit's structure-build stage.
+// atpgObserver adapts h to an atpg.Observer bound to one circuit. A nil h
+// yields the zero Observer, which adds no work to generation.
+func (h Hooks) atpgObserver(circuit string) atpg.Observer {
+	if h == nil {
+		return atpg.Observer{}
+	}
+	return atpg.Observer{
+		OnPodemFault: func(_ atpg.Fault, outcome atpg.PodemOutcome, backtracks int) {
+			h(Event{Kind: EventPodemFault, Circuit: circuit, Stage: StageATPG,
+				Name: outcome.String(), Backtracks: backtracks})
+		},
+		OnPhase: func(phase string, elapsed time.Duration, patterns int) {
+			h(Event{Kind: EventSubStage, Circuit: circuit, Stage: StageATPG,
+				Name: phase, Elapsed: elapsed, Patterns: patterns})
+		},
+		OnFaultSimBatch: func(kind string, lanes int, elapsed time.Duration) {
+			h(Event{Kind: EventFaultSimBatch, Circuit: circuit, Stage: StageATPG,
+				Name: kind, Elapsed: elapsed, Lanes: lanes})
+		},
+		OnPodemChunk: func(start, n int, elapsed time.Duration) {
+			h(Event{Kind: EventPodemChunk, Circuit: circuit, Stage: StageATPG,
+				Elapsed: elapsed, Count: n, Index: start})
+		},
+	}
+}
+
+// coreObserver adapts h to a core.Observer bound to one circuit's
+// structure-build stage.
 func (h Hooks) coreObserver(circuit, stage string) core.Observer {
-	var ob core.Observer
-	if h.OnJustify != nil {
-		hook := h.OnJustify
-		ob.OnJustify = func(_ netlist.NetID, success bool, backtracks int) {
-			hook(circuit, JustifyInfo{Success: success, Backtracks: backtracks})
-		}
+	if h == nil {
+		return core.Observer{}
 	}
-	if h.OnObsSamples != nil {
-		hook := h.OnObsSamples
-		ob.OnObsSamples = func(n int) { hook(circuit, n) }
+	return core.Observer{
+		OnJustify: func(_ netlist.NetID, success bool, backtracks int) {
+			h(Event{Kind: EventJustify, Circuit: circuit, Stage: stage,
+				Backtracks: backtracks, Failed: !success})
+		},
+		OnObsSamples: func(n int) {
+			h(Event{Kind: EventObsSamples, Circuit: circuit, Stage: stage, Count: n})
+		},
+		OnPhase: func(phase string, elapsed time.Duration) {
+			h(Event{Kind: EventSubStage, Circuit: circuit, Stage: stage,
+				Name: phase, Elapsed: elapsed})
+		},
+		OnMCBatch: func(kind string, lanes int, elapsed time.Duration) {
+			h(Event{Kind: EventMCBatch, Circuit: circuit, Stage: stage,
+				Name: kind, Elapsed: elapsed, Lanes: lanes})
+		},
 	}
-	if h.OnMCBatch != nil {
-		hook := h.OnMCBatch
-		ob.OnMCBatch = func(kind string, lanes int, elapsed time.Duration) {
-			hook(circuit, stage, kind, lanes, elapsed)
-		}
-	}
-	if h.OnSubStage != nil {
-		hook := h.OnSubStage
-		ob.OnPhase = func(phase string, elapsed time.Duration) {
-			hook(circuit, stage, phase, elapsed, StageInfo{})
-		}
-	}
-	return ob
 }
 
-// measureOptions returns the per-stage measurement options, wiring the
-// per-pattern hook when set.
+// measureOptions adapts h to the measurement options of one circuit's
+// measurement stage.
 func (h Hooks) measureOptions(ctx context.Context, circuit, stage string) power.MeasureOptions {
 	m := power.MeasureOptions{Ctx: ctx}
-	if h.OnPattern != nil {
-		hook := h.OnPattern
-		m.OnPattern = func(index int) { hook(circuit, stage, index) }
-	}
-	if h.OnMeasureBatch != nil {
-		hook := h.OnMeasureBatch
-		m.OnBatch = func(lanes int, elapsed time.Duration) { hook(circuit, stage, lanes, elapsed) }
+	if h != nil {
+		m.OnPattern = func(index int) {
+			h(Event{Kind: EventPattern, Circuit: circuit, Stage: stage, Index: index})
+		}
+		m.OnBatch = func(lanes int, elapsed time.Duration) {
+			h(Event{Kind: EventMeasureBatch, Circuit: circuit, Stage: stage,
+				Elapsed: elapsed, Lanes: lanes})
+		}
 	}
 	return m
 }
 
-// MergeHooks chains any number of hook sets: every non-nil callback of
-// every set fires, in argument order. Use it to combine a progress printer
-// with a telemetry Recorder.
-func MergeHooks(hs ...Hooks) Hooks {
-	var live []Hooks
-	for _, h := range hs {
-		if !h.empty() {
-			live = append(live, h)
-		}
+// generate runs ATPG on c as one paired ATPG stage.
+func (h Hooks) generate(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (*atpg.Result, error) {
+	h.emit(Event{Kind: EventStageStart, Circuit: c.Name, Stage: StageATPG})
+	start := time.Now()
+	res, err := atpg.GenerateObserved(ctx, c, opts, h.atpgObserver(c.Name))
+	done := Event{Kind: EventStageDone, Circuit: c.Name, Stage: StageATPG,
+		Elapsed: time.Since(start), Failed: err != nil}
+	if err != nil {
+		h.emit(done)
+		return nil, err
 	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	var out Hooks
-	for _, h := range live {
-		h := h
-		if h.OnStageStart != nil {
-			prev := out.OnStageStart
-			next := h.OnStageStart
-			out.OnStageStart = func(circuit, stage string) {
-				if prev != nil {
-					prev(circuit, stage)
-				}
-				next(circuit, stage)
-			}
-		}
-		if h.OnStageDone != nil {
-			prev := out.OnStageDone
-			next := h.OnStageDone
-			out.OnStageDone = func(circuit, stage string, elapsed time.Duration, info StageInfo) {
-				if prev != nil {
-					prev(circuit, stage, elapsed, info)
-				}
-				next(circuit, stage, elapsed, info)
-			}
-		}
-		if h.OnProgress != nil {
-			prev := out.OnProgress
-			next := h.OnProgress
-			out.OnProgress = func(circuit string, done, total int) {
-				if prev != nil {
-					prev(circuit, done, total)
-				}
-				next(circuit, done, total)
-			}
-		}
-		if h.OnSubStage != nil {
-			prev := out.OnSubStage
-			next := h.OnSubStage
-			out.OnSubStage = func(circuit, stage, sub string, elapsed time.Duration, info StageInfo) {
-				if prev != nil {
-					prev(circuit, stage, sub, elapsed, info)
-				}
-				next(circuit, stage, sub, elapsed, info)
-			}
-		}
-		if h.OnPodemFault != nil {
-			prev := out.OnPodemFault
-			next := h.OnPodemFault
-			out.OnPodemFault = func(circuit string, info PodemFaultInfo) {
-				if prev != nil {
-					prev(circuit, info)
-				}
-				next(circuit, info)
-			}
-		}
-		if h.OnJustify != nil {
-			prev := out.OnJustify
-			next := h.OnJustify
-			out.OnJustify = func(circuit string, info JustifyInfo) {
-				if prev != nil {
-					prev(circuit, info)
-				}
-				next(circuit, info)
-			}
-		}
-		if h.OnObsSamples != nil {
-			prev := out.OnObsSamples
-			next := h.OnObsSamples
-			out.OnObsSamples = func(circuit string, samples int) {
-				if prev != nil {
-					prev(circuit, samples)
-				}
-				next(circuit, samples)
-			}
-		}
-		if h.OnPattern != nil {
-			prev := out.OnPattern
-			next := h.OnPattern
-			out.OnPattern = func(circuit, stage string, index int) {
-				if prev != nil {
-					prev(circuit, stage, index)
-				}
-				next(circuit, stage, index)
-			}
-		}
-		if h.OnMeasureBatch != nil {
-			prev := out.OnMeasureBatch
-			next := h.OnMeasureBatch
-			out.OnMeasureBatch = func(circuit, stage string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, stage, lanes, elapsed)
-				}
-				next(circuit, stage, lanes, elapsed)
-			}
-		}
-		if h.OnMCBatch != nil {
-			prev := out.OnMCBatch
-			next := h.OnMCBatch
-			out.OnMCBatch = func(circuit, stage, kind string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, stage, kind, lanes, elapsed)
-				}
-				next(circuit, stage, kind, lanes, elapsed)
-			}
-		}
-		if h.OnFaultSimBatch != nil {
-			prev := out.OnFaultSimBatch
-			next := h.OnFaultSimBatch
-			out.OnFaultSimBatch = func(circuit, kind string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, kind, lanes, elapsed)
-				}
-				next(circuit, kind, lanes, elapsed)
-			}
-		}
-		if h.OnPodemChunk != nil {
-			prev := out.OnPodemChunk
-			next := h.OnPodemChunk
-			out.OnPodemChunk = func(circuit string, start, n int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, start, n, elapsed)
-				}
-				next(circuit, start, n, elapsed)
-			}
-		}
-	}
-	return out
+	done.Patterns, done.Backtracks = len(res.Patterns), res.Backtracks
+	h.emit(done)
+	return res, nil
 }
 
 // patternSource supplies the ATPG result for a circuit: the Engine plugs
@@ -376,16 +230,7 @@ type patternSource func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, 
 // directPatterns generates without caching, reporting through hooks.
 func directPatterns(cfg Config, hooks Hooks) patternSource {
 	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
-		hooks.stageStart(c.Name, StageATPG)
-		start := time.Now()
-		res, err := atpg.GenerateObserved(ctx, c, scaledATPG(c, cfg), hooks.atpgObserver(c))
-		if err != nil {
-			hooks.stageDone(c.Name, StageATPG, time.Since(start), StageInfo{Failed: true})
-			return nil, err
-		}
-		hooks.stageDone(c.Name, StageATPG, time.Since(start),
-			StageInfo{Patterns: len(res.Patterns), Backtracks: res.Backtracks})
-		return res, nil
+		return hooks.generate(ctx, c, scaledATPG(c, cfg))
 	}
 }
 
@@ -475,7 +320,7 @@ type Engine struct {
 	// Workers bounds the worker pool of Run; values < 1 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Hooks observes stages and progress. Set before calling Run.
+	// Hooks observes the run's events. Set before calling Run.
 	Hooks Hooks
 
 	cache  patternCache
@@ -509,18 +354,7 @@ func (e *Engine) patternsFor(cfg Config) patternSource {
 	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
 		opts := scaledATPG(c, cfg)
 		key := newPatternKey(c.Fingerprint(), opts)
-		gen := func() (*atpg.Result, error) {
-			e.Hooks.stageStart(c.Name, StageATPG)
-			start := time.Now()
-			res, err := atpg.GenerateObserved(ctx, c, opts, e.Hooks.atpgObserver(c))
-			if err != nil {
-				e.Hooks.stageDone(c.Name, StageATPG, time.Since(start), StageInfo{Failed: true})
-				return nil, err
-			}
-			e.Hooks.stageDone(c.Name, StageATPG, time.Since(start),
-				StageInfo{Patterns: len(res.Patterns), Backtracks: res.Backtracks})
-			return res, nil
-		}
+		gen := func() (*atpg.Result, error) { return e.Hooks.generate(ctx, c, opts) }
 		res, hit, err := e.cache.get(ctx, key, gen)
 		if err != nil {
 			return nil, err
@@ -530,9 +364,9 @@ func (e *Engine) patternsFor(cfg Config) patternSource {
 			// Cache-served stages still emit a paired start/done (with
 			// CacheHit set) so span accounting never sees an unbalanced
 			// close.
-			e.Hooks.stageStart(c.Name, StageATPG)
-			e.Hooks.stageDone(c.Name, StageATPG, 0,
-				StageInfo{Patterns: len(res.Patterns), CacheHit: true})
+			e.Hooks.emit(Event{Kind: EventStageStart, Circuit: c.Name, Stage: StageATPG})
+			e.Hooks.emit(Event{Kind: EventStageDone, Circuit: c.Name, Stage: StageATPG,
+				Patterns: len(res.Patterns), CacheHit: true})
 		} else {
 			e.misses.Add(1)
 		}
@@ -550,7 +384,7 @@ func (e *Engine) Compare(ctx context.Context, c *netlist.Circuit) (*Comparison, 
 // CompareWith is Compare under a per-call configuration override while
 // still sharing the Engine's memoized ATPG layer: calls whose (scaled)
 // ATPG options match — e.g. the same circuit requested with different
-// measurement backends — generate patterns once. The scanpowerd service
+// activity profiles — generate patterns once. The scanpowerd service
 // uses this to apply per-job Config overrides on one shared cache.
 func (e *Engine) CompareWith(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
 	return compareWith(ctx, c, cfg, e.patternsFor(cfg), e.Hooks)
@@ -618,7 +452,8 @@ func (e *Engine) Run(ctx context.Context, names []string) (<-chan Result, error)
 					r.Comparison, r.Err = e.Compare(ctx, c)
 				}
 				out <- r
-				e.Hooks.progress(r.Name, int(done.Add(1)), len(names))
+				e.Hooks.emit(Event{Kind: EventProgress, Circuit: r.Name,
+					Count: int(done.Add(1)), Total: len(names)})
 			}
 		}()
 	}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stageBalance counts OnStageStart/OnStageDone events per stage and the
-// Failed flags seen, under a mutex (Engine workers may be concurrent).
+// stageBalance counts stage start/done events per stage and the Failed
+// flags seen, under a mutex (Engine workers may be concurrent).
 type stageBalance struct {
 	mu     sync.Mutex
 	starts map[string]int
@@ -29,21 +29,17 @@ func newStageBalance() *stageBalance {
 	}
 }
 
-func (b *stageBalance) hooks() Hooks {
-	return Hooks{
-		OnStageStart: func(_, stage string) {
-			b.mu.Lock()
-			b.starts[stage]++
-			b.mu.Unlock()
-		},
-		OnStageDone: func(_, stage string, _ time.Duration, info StageInfo) {
-			b.mu.Lock()
-			b.dones[stage]++
-			if info.Failed {
-				b.failed[stage]++
-			}
-			b.mu.Unlock()
-		},
+func (b *stageBalance) hooks(ev Event) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch ev.Kind {
+	case EventStageStart:
+		b.starts[ev.Stage]++
+	case EventStageDone:
+		b.dones[ev.Stage]++
+		if ev.Failed {
+			b.failed[ev.Stage]++
+		}
 	}
 }
 
@@ -64,8 +60,8 @@ func (b *stageBalance) check(t *testing.T) {
 }
 
 // TestStageHooksPairedOnError: however a stage ends — ATPG aborted by
-// cancellation, or a measurement stage cut off mid-flight — every
-// OnStageStart has a matching OnStageDone (with Failed set on the broken
+// cancellation, or a measurement stage cut off mid-flight — every stage
+// start event has a matching done event (with Failed set on the broken
 // stage), and the Recorder's span tree drains to zero open spans.
 func TestStageHooksPairedOnError(t *testing.T) {
 	c, err := Benchmark("s344")
@@ -81,13 +77,13 @@ func TestStageHooksPairedOnError(t *testing.T) {
 			var buf bytes.Buffer
 			tw := telemetry.NewTraceWriter(&buf)
 			rec := NewRecorder(telemetry.NewRegistry(), tw)
-			trigger := Hooks{OnStageStart: func(_, stage string) {
-				if stage == cancelOn {
+			trigger := func(ev Event) {
+				if ev.Kind == EventStageStart && ev.Stage == cancelOn {
 					cancel()
 				}
-			}}
+			}
 			eng := NewEngine(DefaultConfig())
-			eng.Hooks = MergeHooks(trigger, bal.hooks(), rec.Hooks())
+			eng.Hooks = MergeHooks(trigger, bal.hooks, rec.Hooks())
 			_, err := eng.Compare(ctx, c)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Compare error = %v, want context.Canceled", err)
@@ -95,7 +91,7 @@ func TestStageHooksPairedOnError(t *testing.T) {
 			bal.check(t)
 			bal.mu.Lock()
 			if bal.failed[cancelOn] == 0 {
-				t.Errorf("stage %s aborted but no StageInfo.Failed reported", cancelOn)
+				t.Errorf("stage %s aborted but no Failed done event reported", cancelOn)
 			}
 			bal.mu.Unlock()
 			rec.Close()
@@ -115,7 +111,7 @@ func TestStageHooksPairedOnSuccess(t *testing.T) {
 	}
 	bal := newStageBalance()
 	if _, err := compareWith(context.Background(), c, DefaultConfig(),
-		directPatterns(DefaultConfig(), bal.hooks()), bal.hooks()); err != nil {
+		directPatterns(DefaultConfig(), bal.hooks), bal.hooks); err != nil {
 		t.Fatal(err)
 	}
 	bal.check(t)

@@ -83,12 +83,15 @@ func TestEngineRunStreams(t *testing.T) {
 	eng.Workers = 4
 	var mu sync.Mutex
 	progress := 0
-	eng.Hooks.OnProgress = func(circuit string, done, total int) {
+	eng.Hooks = func(ev Event) {
+		if ev.Kind != EventProgress {
+			return
+		}
 		mu.Lock()
 		progress++
 		mu.Unlock()
-		if total != len(engineTestNames) {
-			t.Errorf("OnProgress total = %d, want %d", total, len(engineTestNames))
+		if ev.Total != len(engineTestNames) {
+			t.Errorf("progress total = %d, want %d", ev.Total, len(engineTestNames))
 		}
 	}
 	ch, err := eng.Run(context.Background(), engineTestNames)
@@ -115,13 +118,13 @@ func TestEngineRunStreams(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if progress != len(engineTestNames) {
-		t.Errorf("OnProgress fired %d times, want %d", progress, len(engineTestNames))
+		t.Errorf("progress fired %d times, want %d", progress, len(engineTestNames))
 	}
 }
 
 // TestEngineCacheHit: the second Compare of the same circuit — and the
 // extension studies after it — must perform zero ATPG work, observed both
-// through the Hooks counters and CacheStats.
+// through the stage events and CacheStats.
 func TestEngineCacheHit(t *testing.T) {
 	c, err := Benchmark("s344")
 	if err != nil {
@@ -130,22 +133,19 @@ func TestEngineCacheHit(t *testing.T) {
 	eng := NewEngine(DefaultConfig())
 	var mu sync.Mutex
 	var atpgStarts int
-	var atpgInfos []StageInfo
-	eng.Hooks = Hooks{
-		OnStageStart: func(circuit, stage string) {
-			if stage == StageATPG {
-				mu.Lock()
-				atpgStarts++
-				mu.Unlock()
-			}
-		},
-		OnStageDone: func(circuit, stage string, elapsed time.Duration, info StageInfo) {
-			if stage == StageATPG {
-				mu.Lock()
-				atpgInfos = append(atpgInfos, info)
-				mu.Unlock()
-			}
-		},
+	var atpgInfos []Event
+	eng.Hooks = func(ev Event) {
+		if ev.Stage != StageATPG {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Kind {
+		case EventStageStart:
+			atpgStarts++
+		case EventStageDone:
+			atpgInfos = append(atpgInfos, ev)
+		}
 	}
 	ctx := context.Background()
 	first, err := eng.Compare(ctx, c)
@@ -172,8 +172,7 @@ func TestEngineCacheHit(t *testing.T) {
 	}
 
 	// Start/done pairs must balance even for cache-served stages: every
-	// OnStageDone (one generation + three hits) had a matching
-	// OnStageStart.
+	// done event (one generation + three hits) had a matching start.
 	if atpgStarts != 4 {
 		t.Errorf("ATPG start events = %d, want 4 (one per done event)", atpgStarts)
 	}

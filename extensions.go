@@ -44,7 +44,7 @@ type EnhancedComparison struct {
 // v1 entry point it is context-first; pass context.Background() when no
 // cancellation is needed.
 func CompareEnhanced(ctx context.Context, c *netlist.Circuit, cfg Config) (*EnhancedComparison, error) {
-	return compareEnhancedWith(ctx, c, cfg, directPatterns(cfg, Hooks{}))
+	return compareEnhancedWith(ctx, c, cfg, directPatterns(cfg, nil))
 }
 
 // compareEnhancedWith is CompareEnhanced over an explicit pattern source
@@ -61,7 +61,7 @@ func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	propRep, err := cfg.Measure.measure(scan.New(prop.Circuit), res.Patterns, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
+	propRep, err := power.MeasureScanPackedOpts(scan.New(prop.Circuit), res.Patterns, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	enhRep, err := cfg.Measure.measure(scan.New(enh.Circuit), res.Patterns, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
+	enhRep, err := power.MeasureScanPackedOpts(scan.New(enh.Circuit), res.Patterns, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func (r *ReorderingStudy) BestDynamicGain() float64 {
 // point it is context-first; pass context.Background() when no
 // cancellation is needed.
 func StudyReordering(ctx context.Context, c *netlist.Circuit, cfg Config, structure string) (*ReorderingStudy, error) {
-	return studyReorderingWith(ctx, c, cfg, structure, directPatterns(cfg, Hooks{}))
+	return studyReorderingWith(ctx, c, cfg, structure, directPatterns(cfg, nil))
 }
 
 // studyReorderingWith is StudyReordering over an explicit pattern source
@@ -155,7 +155,7 @@ func studyReorderingWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 				return power.Report{}, err
 			}
 		}
-		return cfg.Measure.measure(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		return power.MeasureScanPackedOpts(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 	}
 
 	st := &ReorderingStudy{Circuit: c.Name, Structure: structure}
@@ -227,7 +227,7 @@ func StudyTechScaling(c *netlist.Circuit, cfg Config, shiftHz float64) ([]TechSc
 		if err != nil {
 			return nil, err
 		}
-		rep, err := cfg.Measure.measure(ch, res.Patterns, tcfg, lm, cm, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(ch, res.Patterns, tcfg, lm, cm)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +269,7 @@ func StudyChains(c *netlist.Circuit, cfg Config) ([]ChainStudyPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := cfg.Measure.measure(cs, res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(cs, res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +313,7 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		return nil, err
 	}
 	tcfg := scan.Traditional(c)
-	base, err := cfg.Measure.measure(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap, power.MeasureOptions{})
+	base, err := power.MeasureScanPacked(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		return nil, err
 	}
@@ -339,8 +339,8 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		if err != nil {
 			return nil, power.Report{}, err
 		}
-		rep, err := cfg.Measure.measure(scan.New(plan.Circuit),
-			plan.AdaptPatterns(res.Patterns), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(scan.New(plan.Circuit),
+			plan.AdaptPatterns(res.Patterns), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap)
 		return plan, rep, err
 	}
 	if st.BasePeakPerHz <= st.LimitPerHz {

@@ -1,9 +1,8 @@
 // Package cliflags centralizes the flag definitions and validation that
 // the scanpower commands share. cmd/tableone, cmd/scanpower and
-// cmd/scanpowerd all take the same backend selectors (-measure,
-// -mc-backend), worker-pool and timeout knobs, and — for anything that
-// boots or joins a scanpowerd cluster — the same cluster flags (-peers,
-// -store-dir, -store-max-bytes). Defining them here once keeps the
+// cmd/scanpowerd all take the same lane-width, worker-pool and timeout
+// knobs, and — for anything that boots or joins a scanpowerd cluster —
+// the same cluster flags (-peers, -store-dir, -store-max-bytes). Defining them here once keeps the
 // usage strings, defaults and validation identical everywhere, so a new
 // flag lands in every command by construction.
 package cliflags
@@ -18,20 +17,6 @@ import (
 	"repro"
 	"repro/internal/sim"
 )
-
-// Measure registers the -measure backend selector on fs and returns its
-// value. Validate with ValidateMeasure after fs.Parse.
-func Measure(fs *flag.FlagSet) *string {
-	return fs.String("measure", string(scanpower.MeasurePacked),
-		"measurement kernel: packed (bit-parallel), fast (event-driven) or dense (full re-eval)")
-}
-
-// MC registers the -mc-backend selector on fs and returns its value.
-// Validate with ValidateMC after fs.Parse.
-func MC(fs *flag.FlagSet) *string {
-	return fs.String("mc-backend", string(scanpower.MCPacked),
-		"Monte-Carlo kernel for observability and fill: packed (64-way bit-parallel) or scalar")
-}
 
 // Lanes registers the -lanes packed batch-width selector on fs and
 // returns its value. Validate with ValidateLanes after fs.Parse.
@@ -83,47 +68,14 @@ func Timeout(fs *flag.FlagSet, name string, def time.Duration, usage string) *ti
 	return fs.Duration(name, def, usage)
 }
 
-// ValidateMeasure checks a -measure value against the known backends.
-func ValidateMeasure(s string) (scanpower.MeasureBackend, error) {
-	b := scanpower.MeasureBackend(s)
-	for _, want := range scanpower.MeasureBackends() {
-		if b == want {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("unknown measure backend %q (want one of %v)", s, scanpower.MeasureBackends())
-}
-
-// ValidateMC checks a -mc-backend value against the known backends.
-func ValidateMC(s string) (scanpower.MCBackend, error) {
-	b := scanpower.MCBackend(s)
-	for _, want := range scanpower.MCBackends() {
-		if b == want {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("unknown mc backend %q (want one of %v)", s, scanpower.MCBackends())
-}
-
-// BackendConfig returns DefaultConfig with the validated -measure,
-// -mc-backend and -lanes selections applied — the shared "flags to
-// Config" step of every command.
-func BackendConfig(measure, mc string, lanes int) (scanpower.Config, error) {
+// Config returns DefaultConfig with the validated -lanes selection
+// applied — the shared "flags to Config" step of every command.
+func Config(lanes int) (scanpower.Config, error) {
 	cfg := scanpower.DefaultConfig()
-	m, err := ValidateMeasure(measure)
-	if err != nil {
-		return cfg, err
-	}
-	b, err := ValidateMC(mc)
-	if err != nil {
-		return cfg, err
-	}
 	w, err := ValidateLanes(lanes)
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Measure = m
-	cfg.MC = b
 	cfg.Lanes = w
 	return cfg, nil
 }

@@ -46,6 +46,15 @@ func Build(c *netlist.Circuit, opts Options) (*Solution, error) {
 	return BuildContext(context.Background(), c, opts)
 }
 
+// BuildReference is BuildContext on the serial scalar Monte-Carlo
+// kernels: the observability estimate and the don't-care fill that the
+// packed production kernels must reproduce bit for bit. It is the oracle
+// of the equivalence tests; no production path calls it.
+func BuildReference(ctx context.Context, c *netlist.Circuit, opts Options) (*Solution, error) {
+	opts.reference = true
+	return BuildContext(ctx, c, opts)
+}
+
 // BuildContext is Build with cancellation: the justification search
 // checks ctx between decisions and the main blocking loop between target
 // gates, so a pathological circuit can be abandoned mid-flow. The
@@ -107,14 +116,17 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 		sol.Stats.CriticalDelay = timing.Analyze(work, opts.Delay).Critical
 	}
 
-	// Leakage observability directive. Both backends consume the shared
-	// rng's stream identically, so the finder below sees the same draws
-	// whichever kernel ran.
+	// Leakage observability directive. The packed and reference kernels
+	// consume the shared rng's stream identically, so the finder below
+	// sees the same draws whichever kernel ran.
 	var ob *obs.Observability
 	if opts.ObsDirected {
 		doneObs := opts.Observe.phaseTimer("observability")
 		var err error
-		if opts.MC.packed() {
+		if opts.reference {
+			ob, err = obs.EstimateObserved(ctx, work, opts.Leak, opts.ObsSamples, rng,
+				opts.Observe.OnObsSamples)
+		} else {
 			po := obs.PackedOpts{OnSamples: opts.Observe.OnObsSamples, Lanes: opts.Lanes}
 			if mcb := opts.Observe.OnMCBatch; mcb != nil {
 				po.OnBatch = func(lanes int, elapsed time.Duration) {
@@ -122,9 +134,6 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 				}
 			}
 			ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, po)
-		} else {
-			ob, err = obs.EstimateObserved(ctx, work, opts.Leak, opts.ObsSamples, rng,
-				opts.Observe.OnObsSamples)
 		}
 		doneObs()
 		if err != nil {

@@ -30,25 +30,21 @@ import (
 	"repro/internal/timing"
 )
 
-// MCBackend selects the kernel behind the flow's two Monte-Carlo loops:
-// the leakage-observability estimate and the minimum-leakage don't-care
-// fill. Both backends are bit-identical for the same Options.Seed — the
-// packed kernels draw the random stream in the scalar order and fold
-// results in the scalar accumulation order — so the choice is purely a
-// matter of speed.
+// MCBackend names a Monte-Carlo kernel backend. It is kept so existing
+// Options literals still compile and validate: every accepted name runs
+// the packed kernels, which are bit-identical to the serial reference
+// kernels for the same Options.Seed.
 type MCBackend string
 
 const (
-	// MCAuto (the zero value) resolves to MCPacked.
-	MCAuto MCBackend = ""
-	// MCPacked runs both loops on the 64-way bit-parallel simulators,
-	// sharded across a worker pool. The default.
+	// MCAuto (the zero value), MCPacked and MCScalar are the accepted
+	// names; all three run the packed kernels.
+	MCAuto   MCBackend = ""
 	MCPacked MCBackend = "packed"
-	// MCScalar runs the serial reference kernels (one vector at a time).
 	MCScalar MCBackend = "scalar"
 )
 
-// valid reports whether b names a known backend.
+// valid reports whether b is an accepted backend name.
 func (b MCBackend) valid() bool {
 	switch b {
 	case MCAuto, MCPacked, MCScalar:
@@ -56,9 +52,6 @@ func (b MCBackend) valid() bool {
 	}
 	return false
 }
-
-// packed reports whether b resolves to the packed kernels.
-func (b MCBackend) packed() bool { return b != MCScalar }
 
 // Options configures Build.
 type Options struct {
@@ -86,14 +79,12 @@ type Options struct {
 	MuxMask []bool
 	// Seed makes the randomized pieces reproducible.
 	Seed int64
-	// MC selects the Monte-Carlo kernel backend for the observability
-	// estimate and the don't-care fill; the zero value means packed.
-	// Results are identical across backends for the same Seed.
+	// MC is validated but otherwise ignored: every accepted name runs
+	// the packed Monte-Carlo kernels.
 	MC MCBackend
 	// Lanes is the batch width of the packed Monte-Carlo kernels (see
 	// sim.LaneWidths; 0 means the default, sim.WideLanes). Results are
-	// bit-identical across widths, so this is purely a throughput knob;
-	// the scalar backend ignores it.
+	// bit-identical across widths, so this is purely a throughput knob.
 	Lanes int
 
 	// Observe receives fine-grained flow telemetry; the zero value is
@@ -103,6 +94,10 @@ type Options struct {
 	Delay timing.DelayModel
 	Leak  *leakage.Model
 	Cap   power.CapModel
+
+	// reference routes both Monte-Carlo loops through the serial scalar
+	// kernels, the oracle of the packed ones. Only BuildReference sets it.
+	reference bool
 }
 
 // Observer receives fine-grained telemetry from Build. Every field is
@@ -120,7 +115,7 @@ type Observer struct {
 	// OnPhase fires when a flow phase completes: "observability",
 	// "blocking", "fill", or "reorder".
 	OnPhase func(phase string, elapsed time.Duration)
-	// OnMCBatch fires once per 64-lane batch evaluated by a packed
+	// OnMCBatch fires once per batch evaluated by a packed
 	// Monte-Carlo kernel: kind is "obs" or "fill", lanes the vectors (or
 	// fill trials) the batch carried, elapsed its evaluation wall time.
 	// Called from a single goroutine per kernel run.

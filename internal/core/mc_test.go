@@ -13,8 +13,9 @@ import (
 )
 
 // solutionsIdentical returns "" when two solutions agree bit for bit on
-// every externally visible field, else the first differing field. The MC
-// backends promise bit-identity, so no tolerance is applied anywhere.
+// every externally visible field, else the first differing field. The
+// packed MC kernels promise bit-identity with the reference, so no
+// tolerance is applied anywhere.
 func solutionsIdentical(a, b *Solution) string {
 	if a.Stats != b.Stats {
 		return "Stats"
@@ -43,8 +44,8 @@ func solutionsIdentical(a, b *Solution) string {
 	return ""
 }
 
-// TestMCPackedBuildEquivalence: the packed Monte-Carlo backend must
-// reproduce the scalar backend's full flow output — assignment, implied
+// TestMCPackedBuildEquivalence: the packed Monte-Carlo kernels must
+// reproduce the scalar reference kernels' full flow output — assignment, implied
 // state, Table-I-feeding stats, shift config — on real circuits, for both
 // the proposed flow and the input-control baseline.
 func TestMCPackedBuildEquivalence(t *testing.T) {
@@ -57,21 +58,19 @@ func TestMCPackedBuildEquivalence(t *testing.T) {
 	for name, c := range circuits {
 		for _, mk := range []func() Options{ProposedOptions, InputControlOptions} {
 			scalarOpts := mk()
-			scalarOpts.MC = MCScalar
-			ref, err := Build(c, scalarOpts)
+			ref, err := BuildReference(context.Background(), c, scalarOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, lanes := range sim.LaneWidths() {
 				packedOpts := mk()
-				packedOpts.MC = MCPacked
 				packedOpts.Lanes = lanes
 				got, err := Build(c, packedOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if field := solutionsIdentical(ref, got); field != "" {
-					t.Errorf("%s UseMux=%v lanes=%d: %s differs between scalar and packed backends",
+					t.Errorf("%s UseMux=%v lanes=%d: %s differs between scalar and packed kernels",
 						name, scalarOpts.UseMux, lanes, field)
 				}
 			}
@@ -95,23 +94,25 @@ func TestMCBackendValidation(t *testing.T) {
 
 // TestBuildObsDeadline: a context cancelled while the observability
 // estimate is running must abort the whole flow with the context's error
-// — for both backends.
+// — on the packed kernels and on the reference.
 func TestBuildObsDeadline(t *testing.T) {
 	c := mappedS27(t)
-	for _, backend := range []MCBackend{MCScalar, MCPacked} {
+	builds := map[string]func(context.Context, *netlist.Circuit, Options) (*Solution, error){
+		"packed": BuildContext, "reference": BuildReference,
+	}
+	for name, build := range builds {
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := ProposedOptions()
-		opts.MC = backend
 		opts.ObsSamples = 1 << 20
 		opts.Observe.OnObsSamples = func(int) { cancel() }
-		sol, err := BuildContext(ctx, c, opts)
+		sol, err := build(ctx, c, opts)
 		if err != context.Canceled {
-			t.Errorf("%q: BuildContext = (%v, %v), want context.Canceled", backend, sol, err)
+			t.Errorf("%s: build = (%v, %v), want context.Canceled", name, sol, err)
 		}
 	}
 }
 
-// TestMCBatchTelemetry: with the packed backend every Monte-Carlo batch
+// TestMCBatchTelemetry: every packed Monte-Carlo batch
 // must surface through Observer.OnMCBatch, with lane totals accounting
 // for every observability vector and every fill trial exactly once.
 func TestMCBatchTelemetry(t *testing.T) {
@@ -150,15 +151,23 @@ func TestMCBatchTelemetry(t *testing.T) {
 	}
 	opts.Lanes = 0
 
-	// The scalar backend evaluates no packed batches.
+	// MC is a no-op: the "scalar" name still runs the packed kernels.
+	// Only the reference build evaluates no packed batches.
 	opts.MC = MCScalar
 	calls := 0
 	opts.Observe.OnMCBatch = func(string, int, time.Duration) { calls++ }
 	if _, err := Build(c, opts); err != nil {
 		t.Fatal(err)
 	}
+	if calls == 0 {
+		t.Error(`MC="scalar" emitted no packed MC batches`)
+	}
+	calls = 0
+	if _, err := BuildReference(context.Background(), c, opts); err != nil {
+		t.Fatal(err)
+	}
 	if calls != 0 {
-		t.Errorf("scalar backend emitted %d MC batches", calls)
+		t.Errorf("reference build emitted %d MC batches", calls)
 	}
 }
 
@@ -210,7 +219,8 @@ func randomMCCircuit(rng *rand.Rand) *netlist.Circuit {
 }
 
 // FuzzMCPackedEquivalence drives random circuits and flow shapes through
-// both Monte-Carlo backends and requires bit-equal solutions. `make
+// the packed Monte-Carlo kernels and the scalar reference and requires
+// bit-equal solutions. `make
 // fuzz-equiv` runs this continuously; the seed corpus runs on every
 // `go test`.
 func FuzzMCPackedEquivalence(f *testing.F) {
@@ -220,9 +230,8 @@ func FuzzMCPackedEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, muxMask uint8, obsDirected bool, obsSamples, fillTrials uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomMCCircuit(rng)
-		mk := func(b MCBackend) Options {
+		mk := func() Options {
 			opts := ProposedOptions()
-			opts.MC = b
 			opts.Seed = seed
 			opts.ObsDirected = obsDirected
 			opts.ObsSamples = int(obsSamples) + 1
@@ -233,11 +242,11 @@ func FuzzMCPackedEquivalence(f *testing.F) {
 			}
 			return opts
 		}
-		ref, err := Build(c, mk(MCScalar))
+		ref, err := BuildReference(context.Background(), c, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Build(c, mk(MCPacked))
+		got, err := Build(c, mk())
 		if err != nil {
 			t.Fatal(err)
 		}

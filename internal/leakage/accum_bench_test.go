@@ -1,7 +1,6 @@
 package leakage
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,8 +8,8 @@ import (
 	"repro/internal/netlist"
 )
 
-// Micro-benchmark of the packed leakage accumulator variants on a real
-// gate mix; the package implementation must stay the fastest of these.
+// Micro-benchmarks of the packed leakage accumulator on a real gate mix
+// at 64 and 256 lanes.
 
 func benchCircuit(b *testing.B) (*netlist.Circuit, *Model, [][]float64) {
 	b.Helper()
@@ -24,92 +23,6 @@ func benchCircuit(b *testing.B) (*netlist.Circuit, *Model, [][]float64) {
 	}
 	m := Default()
 	return c, m, m.CircuitTables(c)
-}
-
-// accumShift is the pre-refactor accumulator: per lane, extract each
-// input bit with shifts and index the table directly.
-func accumShift(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-	for gi := range c.Gates {
-		g := &c.Gates[gi]
-		tab := tabs[gi]
-		switch len(g.Inputs) {
-		case 1:
-			a := words[g.Inputs[0]]
-			for t := 0; t < n; t++ {
-				cyc[t] += tab[a>>uint(t)&1]
-			}
-		case 2:
-			a, b2 := words[g.Inputs[0]], words[g.Inputs[1]]
-			for t := 0; t < n; t++ {
-				cyc[t] += tab[a>>uint(t)&1|(b2>>uint(t)&1)<<1]
-			}
-		case 3:
-			a, b2, d := words[g.Inputs[0]], words[g.Inputs[1]], words[g.Inputs[2]]
-			for t := 0; t < n; t++ {
-				cyc[t] += tab[a>>uint(t)&1|(b2>>uint(t)&1)<<1|(d>>uint(t)&1)<<2]
-			}
-		default:
-			for t := 0; t < n; t++ {
-				idx := 0
-				for i, in := range g.Inputs {
-					idx |= int(words[in]>>uint(t)&1) << i
-				}
-				cyc[t] += tab[idx]
-			}
-		}
-	}
-}
-
-// accumTZ is the mask-decomposition accumulator: one word-wide mask per
-// table entry, walked with TrailingZeros64.
-func accumTZ(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-	valid := ^uint64(0)
-	if n < 64 {
-		valid = 1<<uint(n) - 1
-	}
-	addTZ := func(m uint64, v float64) {
-		for ; m != 0; m &= m - 1 {
-			cyc[bits.TrailingZeros64(m)] += v
-		}
-	}
-	for gi := range c.Gates {
-		g := &c.Gates[gi]
-		tab := tabs[gi]
-		switch len(g.Inputs) {
-		case 1:
-			a := words[g.Inputs[0]]
-			addTZ(valid&^a, tab[0])
-			addTZ(valid&a, tab[1])
-		case 2:
-			a, b2 := words[g.Inputs[0]], words[g.Inputs[1]]
-			addTZ(valid&^(a|b2), tab[0])
-			addTZ(valid&a&^b2, tab[1])
-			addTZ(valid&b2&^a, tab[2])
-			addTZ(valid&a&b2, tab[3])
-		case 3:
-			a, b2, d := words[g.Inputs[0]], words[g.Inputs[1]], words[g.Inputs[2]]
-			sa := [2]uint64{valid &^ a, valid & a}
-			sb := [2]uint64{^b2, b2}
-			sd := [2]uint64{^d, d}
-			for ja := 0; ja < 2; ja++ {
-				for jb := 0; jb < 2; jb++ {
-					for jd := 0; jd < 2; jd++ {
-						if w := sa[ja] & sb[jb] & sd[jd]; w != 0 {
-							addTZ(w, tab[ja|jb<<1|jd<<2])
-						}
-					}
-				}
-			}
-		default:
-			for t := 0; t < n; t++ {
-				idx := 0
-				for i, in := range g.Inputs {
-					idx |= int(words[in]>>uint(t)&1) << i
-				}
-				cyc[t] += tab[idx]
-			}
-		}
-	}
 }
 
 func benchAccum(b *testing.B, n, ww int, fn func(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64)) {
@@ -130,16 +43,12 @@ func benchAccum(b *testing.B, n, ww int, fn func(c *netlist.Circuit, words []uin
 }
 
 func BenchmarkAccumLeak64(b *testing.B) {
-	c, m, tabs := benchCircuit(b)
-	_ = c
-	b.Run("shift", func(b *testing.B) { benchAccum(b, 64, 1, accumShift) })
-	b.Run("tz", func(b *testing.B) { benchAccum(b, 64, 1, accumTZ) })
+	_, m, _ := benchCircuit(b)
 	b.Run("pkg", func(b *testing.B) {
 		benchAccum(b, 64, 1, func(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
 			m.AccumLeakPackedW(c, words, 1, n, tabs, cyc)
 		})
 	})
-	_ = tabs
 }
 
 func BenchmarkAccumLeak256(b *testing.B) {
@@ -149,108 +58,4 @@ func BenchmarkAccumLeak256(b *testing.B) {
 			m.AccumLeakPackedW(c, words, 4, n, tabs, cyc)
 		})
 	})
-}
-
-// accumU forms 8 lanes' indices in one spread word and extracts them
-// with independent shifts — no byte-buffer round trip.
-func accumU(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-	for gi := range c.Gates {
-		g := &c.Gates[gi]
-		tab := tabs[gi]
-		switch len(g.Inputs) {
-		case 2:
-			t4 := tab[0:4:4]
-			a, b2 := words[g.Inputs[0]], words[g.Inputs[1]]
-			for q, base := 0, 0; base < n; q, base = q+1, base+8 {
-				sh := 8 * uint(q)
-				u := spreadTab[byte(a>>sh)] | spreadTab[byte(b2>>sh)]<<1
-				cw := cyc[base : base+8 : base+8]
-				cw[0] += t4[u&3]
-				cw[1] += t4[u>>8&3]
-				cw[2] += t4[u>>16&3]
-				cw[3] += t4[u>>24&3]
-				cw[4] += t4[u>>32&3]
-				cw[5] += t4[u>>40&3]
-				cw[6] += t4[u>>48&3]
-				cw[7] += t4[u>>56&3]
-			}
-		case 1:
-			t2 := tab[0:2:2]
-			a := words[g.Inputs[0]]
-			for q, base := 0, 0; base < n; q, base = q+1, base+8 {
-				u := spreadTab[byte(a>>(8*uint(q)))]
-				cw := cyc[base : base+8 : base+8]
-				cw[0] += t2[u&1]
-				cw[1] += t2[u>>8&1]
-				cw[2] += t2[u>>16&1]
-				cw[3] += t2[u>>24&1]
-				cw[4] += t2[u>>32&1]
-				cw[5] += t2[u>>40&1]
-				cw[6] += t2[u>>48&1]
-				cw[7] += t2[u>>56&1]
-			}
-		case 3:
-			t8 := tab[0:8:8]
-			a, b2, d := words[g.Inputs[0]], words[g.Inputs[1]], words[g.Inputs[2]]
-			for q, base := 0, 0; base < n; q, base = q+1, base+8 {
-				sh := 8 * uint(q)
-				u := spreadTab[byte(a>>sh)] | spreadTab[byte(b2>>sh)]<<1 | spreadTab[byte(d>>sh)]<<2
-				cw := cyc[base : base+8 : base+8]
-				cw[0] += t8[u&7]
-				cw[1] += t8[u>>8&7]
-				cw[2] += t8[u>>16&7]
-				cw[3] += t8[u>>24&7]
-				cw[4] += t8[u>>32&7]
-				cw[5] += t8[u>>40&7]
-				cw[6] += t8[u>>48&7]
-				cw[7] += t8[u>>56&7]
-			}
-		default:
-			for t := 0; t < n; t++ {
-				idx := 0
-				for i, in := range g.Inputs {
-					idx |= int(words[in]>>uint(t)&1) << i
-				}
-				cyc[t] += tab[idx]
-			}
-		}
-	}
-}
-
-func BenchmarkAccumLeak64More(b *testing.B) {
-	b.Run("directu", func(b *testing.B) { benchAccum(b, 64, 1, accumU) })
-}
-
-// BenchmarkAccumLeakTile times the shipping lane-tiled accumulator
-// (AccumLeakPackedW) against the variants above; it must stay the
-// fastest.
-func BenchmarkAccumLeakTile(b *testing.B) {
-	_, m, _ := benchCircuit(b)
-	b.Run("tile64", func(b *testing.B) {
-		benchAccum(b, 64, 1, func(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-			m.AccumLeakPackedW(c, words, 1, n, tabs, cyc)
-		})
-	})
-	b.Run("tile256w4", func(b *testing.B) {
-		benchAccum256(b, func(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-			m.AccumLeakPackedW(c, words, 4, n, tabs, cyc)
-		})
-	})
-}
-
-func benchAccum256(b *testing.B, fn func(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64)) {
-	c, _, tabs := benchCircuit(b)
-	rng := rand.New(rand.NewSource(11))
-	words := make([]uint64, c.NumNets()*4)
-	for i := range words {
-		words[i] = rng.Uint64()
-	}
-	cyc := make([]float64, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for t := range cyc {
-			cyc[t] = 0
-		}
-		fn(c, words, 256, tabs, cyc)
-	}
 }

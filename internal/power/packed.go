@@ -22,8 +22,8 @@ import (
 // serial kernel (net order within a cycle for switched capacitance, gate
 // order within a cycle for leakage, cycle order across the run) are
 // reproduced exactly, so every float in the Report matches to the last
-// ulp. The equivalence is enforced by unit and fuzz tests, like the
-// existing MeasureScanFast guarantee.
+// ulp. The equivalence is enforced by unit and fuzz tests. This is the
+// one production measurement kernel.
 func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
 	return MeasureScanPackedOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})

@@ -74,7 +74,7 @@ func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 		for ci, cfg := range cfgs {
 			for _, includeCapture := range []bool{false, true} {
 				opts := MeasureOptions{IncludeCapture: includeCapture}
-				slow, err := MeasureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
+				slow, err := measureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 		opts := MeasureOptions{IncludeCapture: includeCapture}
 		lm := leakage.Default()
 		cm := DefaultCapModel()
-		slow, err := MeasureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		slow, err := measureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,39 +281,4 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 			}
 		}
 	})
-}
-
-// BenchmarkScanKernels compares the three measurement kernels on a
-// traditional-scan ISCAS stream with >= 64 patterns — the regime the
-// Table I rows spend their wall time in. The packed kernel's >= 5x edge
-// over the event-driven path here is an acceptance criterion recorded in
-// BENCH_*.json.
-func BenchmarkScanKernels(b *testing.B) {
-	p, _ := iscas.ByName("s1423")
-	c, err := iscas.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := scan.Traditional(c)
-	pats := randomPatterns(rand.New(rand.NewSource(40)), c, 64)
-	lm := leakage.Default()
-	cm := DefaultCapModel()
-	ch := scan.New(c)
-	kernels := []struct {
-		name string
-		fn   func() (Report, error)
-	}{
-		{"dense", func() (Report, error) { return MeasureScan(ch, pats, cfg, lm, cm) }},
-		{"fast", func() (Report, error) { return MeasureScanFast(ch, pats, cfg, lm, cm) }},
-		{"packed", func() (Report, error) { return MeasureScanPacked(ch, pats, cfg, lm, cm) }},
-	}
-	for _, k := range kernels {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := k.fn(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -112,7 +112,7 @@ func (r Report) String() string {
 		r.DynamicPerHz, r.StaticUW, r.Cycles)
 }
 
-// MeasureOptions tunes the accounting of MeasureScan.
+// MeasureOptions tunes the accounting of the measurement kernels.
 type MeasureOptions struct {
 	// IncludeCapture also accumulates the capture-cycle state into the
 	// transition and leakage sums. Table I's convention (and the default)
@@ -132,12 +132,12 @@ type MeasureOptions struct {
 	// OnBatch, when non-nil, fires after each packed batch of lanes is
 	// evaluated, with the number of cycles packed into the batch and the
 	// wall time the batch took. Only MeasureScanPacked emits it; the
-	// serial kernels never call it.
+	// dense reference never calls it.
 	OnBatch func(lanes int, elapsed time.Duration) `json:"-"`
 	// Lanes is the batch width of the packed kernel: how many scan cycles
 	// are evaluated per pass (see sim.LaneWidths; 0 means the default,
 	// sim.WideLanes). Reports are bit-identical across widths, so this is
-	// purely a throughput knob; the serial kernels ignore it.
+	// purely a throughput knob; the dense reference ignores it.
 	Lanes int
 }
 
@@ -168,15 +168,17 @@ func (o MeasureOptions) stopHook() func() error {
 // MeasureScan applies the pattern set through the chain under cfg and
 // accumulates dynamic and static power of the combinational part across
 // the scan shift cycles (the paper's Table I convention; see
-// MeasureOptions to include capture cycles).
+// MeasureOptions to include capture cycles). It re-evaluates the whole
+// circuit one cycle at a time: the slow, obviously correct reference
+// that the production kernel, MeasureScanPacked, is tested against.
 func MeasureScan(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
-	return MeasureScanOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
+	return measureScanOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
 }
 
-// MeasureScanOpts is MeasureScan with explicit accounting options. It
+// measureScanOpts is MeasureScan with explicit accounting options. It
 // accepts any scan.Runner (single chain or multi-chain).
-func MeasureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
+func measureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
 
 	c := ch.Circuit()

@@ -270,9 +270,10 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// The down-mark short-circuits the next submit for the same owner:
-	// still served locally, still no client-visible error.
+	// still served locally, still no client-visible error. (A distinct
+	// deadline keeps it from coalescing onto the first job.)
 	code, _, body = postJob(t, urlA, map[string]any{
-		"bench": s27Bench, "name": nameDead, "measure": "dense", "wait": true,
+		"bench": s27Bench, "name": nameDead, "timeout_ms": 60000, "wait": true,
 	})
 	if code != http.StatusOK || body["state"] != "done" {
 		t.Fatalf("second failover submit: status %d (%v)", code, body)
@@ -285,6 +286,78 @@ func TestClusterFailover(t *testing.T) {
 		if row["node"] == deadURL && row["healthy"] == true {
 			t.Errorf("dead peer reported healthy: %v", row)
 		}
+	}
+}
+
+// TestMeasureNamesShareOneJob: every accepted "measure" name runs the one
+// measurement kernel, so one circuit submitted as "fast", "", "packed"
+// and "dense" is one job with one store entry, reported as "packed" —
+// and a restarted daemon serves a "dense" submit from the entry the
+// packed job wrote.
+func TestMeasureNamesShareOneJob(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *store.Store {
+		st, err := store.Open(dir, store.Options{WireSchema: scanpower.ComparisonSchemaV1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	submit := func(base, measure string) map[string]any {
+		t.Helper()
+		body := map[string]any{"bench": s27Bench, "name": "names-s27", "wait": true}
+		if measure != "" {
+			body["measure"] = measure
+		}
+		code, _, got := postJob(t, base, body)
+		if code != http.StatusOK || got["state"] != "done" {
+			t.Fatalf("measure %q: status %d (%v)", measure, code, got)
+		}
+		if got["measure"] != "packed" {
+			t.Errorf("measure %q: job reports measure %v, want packed", measure, got["measure"])
+		}
+		return got
+	}
+
+	reg1 := telemetry.NewRegistry()
+	st1 := open()
+	var runs1 countingRunner
+	svc1 := New(Options{Workers: 1, QueueSize: 4, Store: st1, Registry: reg1, Runner: runs1.runner()})
+	srv1 := httptest.NewServer(svc1.Handler())
+	first := submit(srv1.URL, "fast")
+	for _, m := range []string{"", "packed", "dense"} {
+		if got := submit(srv1.URL, m); got["id"] != first["id"] || got["coalesced"] != true {
+			t.Errorf("measure %q: job %v (coalesced %v), want coalesced onto %v",
+				m, got["id"], got["coalesced"], first["id"])
+		}
+	}
+	srv1.Close()
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runs1.count() != 1 {
+		t.Errorf("four measure names ran %d jobs, want 1", runs1.count())
+	}
+	if got := reg1.Counter(MetricJobsCoalesced).Value(); got != 3 {
+		t.Errorf("%s = %d, want 3", MetricJobsCoalesced, got)
+	}
+	if st1.Len() != 1 {
+		t.Errorf("store holds %d entries, want 1", st1.Len())
+	}
+
+	// Second life on the same store: "dense" hits the packed entry.
+	reg2 := telemetry.NewRegistry()
+	var runs2 countingRunner
+	svc2 := New(Options{Workers: 1, QueueSize: 4, Store: open(), Registry: reg2, Runner: runs2.runner()})
+	srv2 := httptest.NewServer(svc2.Handler())
+	defer srv2.Close()
+	defer svc2.Close()
+	submit(srv2.URL, "dense")
+	if runs2.count() != 0 {
+		t.Errorf("dense submit after restart ran %d jobs, want a store hit", runs2.count())
+	}
+	if got := reg2.Counter(MetricStoreHits).Value(); got != 1 {
+		t.Errorf("store hits = %d, want 1", got)
 	}
 }
 

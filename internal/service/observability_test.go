@@ -292,9 +292,10 @@ func TestLoopGuardWinsOverTraceHeader(t *testing.T) {
 		{"malformed-trace-header", "zz-bogus"},
 		{"no-trace-header", ""},
 	}
+	// Distinct deadlines keep the three submits from coalescing.
 	for i, tcase := range cases {
 		b, _ := json.Marshal(map[string]any{
-			"bench": s27Bench, "name": nameDead, "measure": []string{"packed", "fast", "dense"}[i], "wait": true,
+			"bench": s27Bench, "name": nameDead, "timeout_ms": 60000 + 1000*i, "wait": true,
 		})
 		req, err := http.NewRequest(http.MethodPost, urlA+"/v1/jobs", bytes.NewReader(b))
 		if err != nil {

@@ -286,10 +286,10 @@ func TestCoalescing(t *testing.T) {
 	if second["coalesced"] != true || second["id"] != first["id"] {
 		t.Fatalf("second submit not coalesced onto %v: %v", first["id"], second)
 	}
-	// A different backend is a different job.
+	// A different backend name is the same job: one kernel runs them all.
 	code, _, third := postJob(t, srv.URL, map[string]any{"circuit": "s344", "measure": "dense"})
-	if code != http.StatusAccepted || third["id"] == first["id"] {
-		t.Fatalf("distinct-backend submit coalesced: status %d (%v)", code, third)
+	if code != http.StatusOK || third["coalesced"] != true || third["id"] != first["id"] {
+		t.Fatalf("distinct-backend submit not coalesced onto %v: status %d (%v)", first["id"], code, third)
 	}
 	close(release)
 	pollState(t, srv.URL, first["id"].(string), func(st string) bool { return st == "done" })

@@ -5,60 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/iscas"
-	"repro/internal/logic"
-	"repro/internal/netlist"
 )
 
-// legacyTopoEval is the pre-refactor Packed.Eval inner loop: per-gate
-// type switch over a Topo() walk. Kept as a micro-benchmark baseline for
-// the compiled program.
-func legacyTopoEval(c *netlist.Circuit, v []uint64) {
-	for _, gi := range c.Topo() {
-		g := &c.Gates[gi]
-		ins := g.Inputs
-		var w uint64
-		switch g.Type {
-		case logic.Buf:
-			w = v[ins[0]]
-		case logic.Not:
-			w = ^v[ins[0]]
-		case logic.And, logic.Nand:
-			w = v[ins[0]]
-			for _, in := range ins[1:] {
-				w &= v[in]
-			}
-			if g.Type == logic.Nand {
-				w = ^w
-			}
-		case logic.Or, logic.Nor:
-			w = v[ins[0]]
-			for _, in := range ins[1:] {
-				w |= v[in]
-			}
-			if g.Type == logic.Nor {
-				w = ^w
-			}
-		case logic.Xor, logic.Xnor:
-			w = v[ins[0]]
-			for _, in := range ins[1:] {
-				w ^= v[in]
-			}
-			if g.Type == logic.Xnor {
-				w = ^w
-			}
-		case logic.Mux2:
-			sel := v[ins[2]]
-			w = (v[ins[0]] &^ sel) | (v[ins[1]] & sel)
-		default:
-			panic("unknown gate type")
-		}
-		v[g.Output] = w
-	}
-}
-
-// BenchmarkEvalKernels compares one combinational pass of the legacy
-// topo-walk evaluator against the compiled program at one and four words
-// per net on s1423.
+// BenchmarkEvalKernels times one combinational pass of the compiled
+// program at one and four words per net on s1423.
 func BenchmarkEvalKernels(b *testing.B) {
 	p, _ := iscas.ByName("s1423")
 	c, err := iscas.Generate(p)
@@ -75,11 +25,6 @@ func BenchmarkEvalKernels(b *testing.B) {
 	for i := range v1 {
 		v1[i] = v4[i*WideWords]
 	}
-	b.Run("legacy-topo/w1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			legacyTopoEval(c, v1)
-		}
-	})
 	b.Run("compiled/w1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prog.Run(v1, 1)

@@ -7,40 +7,82 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/atpg"
+	"repro/internal/core"
+	"repro/internal/netlist"
+	"repro/internal/power"
+	"repro/internal/scan"
 	"repro/internal/sim"
 )
 
-// TestMCBackendRowEquivalence: the packed and scalar Monte-Carlo backends
-// must produce byte-identical Table I rows — same solutions, same
-// measured powers — for the same configuration. This is the seed-
-// stability contract at the outermost layer of the API.
+// referenceComparison assembles the Table I row of c from the slow
+// reference kernels alone: the scalar Monte-Carlo builds
+// (core.BuildReference) measured by the dense full re-evaluation
+// (power.MeasureScan), on the same patterns Compare generates.
+func referenceComparison(t *testing.T, c *netlist.Circuit, cfg Config) *Comparison {
+	t.Helper()
+	ctx := context.Background()
+	res, err := atpg.Generate(c, scaledATPG(c, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp := &Comparison{Circuit: c.Name}
+	if cmp.Traditional, err = power.MeasureScan(scan.New(c), res.Patterns, scan.Traditional(c),
+		cfg.Leak, cfg.Cap); err != nil {
+		t.Fatal(err)
+	}
+	structures := []struct {
+		opts  core.Options
+		rep   *power.Report
+		stats *core.Stats
+	}{
+		{cfg.InputControl, &cmp.InputControl, &cmp.InputControlStats},
+		{cfg.Proposed, &cmp.Proposed, &cmp.ProposedStats},
+	}
+	for _, st := range structures {
+		sol, err := core.BuildReference(ctx, c, st.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*st.stats = sol.Stats
+		if *st.rep, err = power.MeasureScan(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
+			cfg.Leak, cfg.Cap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cmp
+}
+
+// TestMCBackendRowEquivalence: the production pipeline (packed
+// Monte-Carlo and packed measurement kernels) must reproduce the Table I
+// row the reference kernels give, bit for bit, under every accepted
+// Config.MC name — the seed-stability contract at the outermost layer of
+// the API.
 func TestMCBackendRowEquivalence(t *testing.T) {
 	c, err := Benchmark("s344")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := map[MCBackend]*Comparison{}
+	want := referenceComparison(t, c, DefaultConfig())
 	for _, backend := range MCBackends() {
 		cfg := DefaultConfig()
 		cfg.MC = backend
-		cmp, err := Compare(context.Background(), c, cfg)
+		got, err := Compare(context.Background(), c, cfg)
 		if err != nil {
 			t.Fatalf("%q: %v", backend, err)
 		}
-		rows[backend] = cmp
-	}
-	packed, scalar := rows[MCPacked], rows[MCScalar]
-	if packed.Row() != scalar.Row() {
-		t.Errorf("Table I rows differ across MC backends:\npacked: %s\nscalar: %s",
-			packed.Row(), scalar.Row())
-	}
-	if packed.ProposedStats != scalar.ProposedStats {
-		t.Errorf("proposed stats differ: %+v vs %+v",
-			packed.ProposedStats, scalar.ProposedStats)
-	}
-	if packed.InputControlStats != scalar.InputControlStats {
-		t.Errorf("input-control stats differ: %+v vs %+v",
-			packed.InputControlStats, scalar.InputControlStats)
+		if got.Traditional != want.Traditional || got.InputControl != want.InputControl ||
+			got.Proposed != want.Proposed {
+			t.Errorf("MC=%q: Table I row differs from the reference kernels:\ngot:  %s\nwant: %s",
+				backend, got.Row(), want.Row())
+		}
+		if got.ProposedStats != want.ProposedStats {
+			t.Errorf("MC=%q: proposed stats %+v, reference %+v", backend, got.ProposedStats, want.ProposedStats)
+		}
+		if got.InputControlStats != want.InputControlStats {
+			t.Errorf("MC=%q: input-control stats %+v, reference %+v",
+				backend, got.InputControlStats, want.InputControlStats)
+		}
 	}
 }
 

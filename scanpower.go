@@ -34,8 +34,8 @@
 // worker pool (Run / RunAll / Engine.WriteTable) with a shared, memoized
 // ATPG layer keyed by frozen-circuit fingerprint, so Compare,
 // CompareEnhanced and StudyReordering on the same circuit generate
-// patterns exactly once. Hooks expose per-stage wall time, pattern counts
-// and PODEM backtrack counters.
+// patterns exactly once. Hooks receive one Event per stage boundary,
+// sub-stage, kernel batch, PODEM fault and justification.
 package scanpower
 
 import (
@@ -60,62 +60,40 @@ import (
 	"repro/internal/timing"
 )
 
-// MeasureBackend selects the scan-power measurement kernel used for the
-// three per-structure measurement stages.
+// MeasureBackend names a scan-power measurement kernel. Every name runs
+// the one production kernel, power.MeasureScanPackedOpts; the type stays
+// so existing Configs and the v1 job API's "measure" field keep working.
 type MeasureBackend string
 
 const (
-	// MeasurePacked is the 64-way bit-parallel kernel
-	// (power.MeasureScanPacked) — the default, bit-identical to the serial
-	// kernels and typically an order of magnitude faster.
+	// MeasurePacked, MeasureFast and MeasureDense are the accepted names.
+	// All three run the bit-parallel kernel, which is bit-identical to
+	// the dense full re-evaluation (power.MeasureScan) it is tested
+	// against.
 	MeasurePacked MeasureBackend = "packed"
-	// MeasureFast is the event-driven serial kernel
-	// (power.MeasureScanFast).
-	MeasureFast MeasureBackend = "fast"
-	// MeasureDense is the full per-cycle re-evaluation kernel
-	// (power.MeasureScan) — the reference the others are tested against.
-	MeasureDense MeasureBackend = "dense"
+	MeasureFast   MeasureBackend = "fast"
+	MeasureDense  MeasureBackend = "dense"
 )
 
-// measure dispatches to the selected kernel; the zero value means
-// MeasurePacked so existing literal Configs keep working.
-func (b MeasureBackend) measure(ch scan.Runner, pats []scan.Pattern, cfg scan.ShiftConfig,
-	lm *leakage.Model, cm power.CapModel, opts power.MeasureOptions) (power.Report, error) {
-	switch b {
-	case "", MeasurePacked:
-		return power.MeasureScanPackedOpts(ch, pats, cfg, lm, cm, opts)
-	case MeasureFast:
-		return power.MeasureScanFastOpts(ch, pats, cfg, lm, cm, opts)
-	case MeasureDense:
-		return power.MeasureScanOpts(ch, pats, cfg, lm, cm, opts)
-	default:
-		return power.Report{}, fmt.Errorf("scanpower: unknown measure backend %q", b)
-	}
-}
-
-// MeasureBackends lists the valid Config.Measure values.
+// MeasureBackends lists the accepted Config.Measure names.
 func MeasureBackends() []MeasureBackend {
 	return []MeasureBackend{MeasurePacked, MeasureFast, MeasureDense}
 }
 
-// MCBackend selects the Monte-Carlo kernel backend used inside the
-// structure builds — the leakage-observability estimate and the
-// minimum-leakage don't-care fill. Both backends are bit-identical for
-// the same seeds (the packed kernels draw the scalar random stream and
-// fold in the scalar accumulation order), so like Config.Measure this is
-// purely a performance/debugging knob: Table I rows do not change with
-// it.
+// MCBackend names a Monte-Carlo kernel backend of the structure builds.
+// Like MeasureBackend it is kept for compatibility: every accepted name
+// runs the packed kernels, which are bit-identical to the serial
+// reference kernels for the same seeds.
 type MCBackend string
 
 const (
-	// MCPacked runs both Monte-Carlo loops on the 64-way bit-parallel
-	// simulators across a worker pool — the default.
+	// MCPacked and MCScalar are the accepted names; both run the packed
+	// kernels.
 	MCPacked MCBackend = "packed"
-	// MCScalar runs the serial reference kernels (one vector at a time).
 	MCScalar MCBackend = "scalar"
 )
 
-// MCBackends lists the valid Config.MC values.
+// MCBackends lists the accepted Config.MC names.
 func MCBackends() []MCBackend {
 	return []MCBackend{MCPacked, MCScalar}
 }
@@ -127,24 +105,20 @@ type Config struct {
 	// automatically for very large circuits unless ScaleATPG is false.
 	ATPG      atpg.Options
 	ScaleATPG bool
-	// Measure selects the scan-power measurement kernel; the zero value
-	// and MeasurePacked mean the bit-parallel kernel. All backends produce
-	// bit-identical Reports, so this is purely a performance/debugging
-	// knob.
+	// Measure is ignored: every name runs the bit-parallel measurement
+	// kernel.
 	Measure MeasureBackend
-	// MC selects the Monte-Carlo kernel backend of the structure builds;
-	// the zero value keeps whatever Proposed.MC / InputControl.MC say
-	// (which itself defaults to packed), a non-zero value overrides both.
-	// All backends produce bit-identical solutions.
+	// MC, when non-zero, overrides Proposed.MC and InputControl.MC, which
+	// the structure builds validate and otherwise ignore: every accepted
+	// name runs the packed Monte-Carlo kernels.
 	MC MCBackend
 	// Lanes sets the batch width of every packed kernel in the experiment
 	// — scan-power measurement, the Monte-Carlo build loops, and ATPG's
 	// compaction fault simulation. The zero value keeps the per-component
 	// settings (ATPG.Lanes, Proposed.Lanes, InputControl.Lanes), which
 	// themselves default to sim.WideLanes = 256; a non-zero value
-	// overrides all of them. Like Measure and MC this is purely a
-	// throughput knob: every kernel is bit-identical at every supported
-	// width (64 or 256).
+	// overrides all of them. This is purely a throughput knob: every
+	// kernel is bit-identical at every supported width (64 or 256).
 	Lanes int
 	// Proposed and InputControl configure the two engineered structures.
 	Proposed     core.Options
@@ -268,7 +242,7 @@ func (c *Comparison) StaticImprovementVsInputControl() float64 {
 // experiment aborts promptly with ctx's error when cancelled. Matching
 // failures wrap ErrNotMapped.
 func Compare(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
-	return compareWith(ctx, c, cfg, directPatterns(cfg, Hooks{}), Hooks{})
+	return compareWith(ctx, c, cfg, directPatterns(cfg, nil), nil)
 }
 
 // compareWith is the shared Table I pipeline: gen supplies the patterns
@@ -294,31 +268,41 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 		Patterns:      len(res.Patterns),
 		FaultCoverage: res.Coverage(),
 	}
-	// mopts is the per-stage measurement options with the experiment's
-	// lane width applied.
-	mopts := func(stage string) power.MeasureOptions {
+	// measure runs the packed kernel on one structure of the named
+	// stage with the experiment's lane width.
+	measure := func(stage string, sc *netlist.Circuit, scfg scan.ShiftConfig) (power.Report, error) {
 		m := hooks.measureOptions(ctx, c.Name, stage)
 		m.Lanes = cfg.Lanes
-		return m
+		return power.MeasureScanPackedOpts(scan.New(sc), res.Patterns, scfg, cfg.Leak, cfg.Cap, m)
+	}
+	// build runs one structure build of the named stage.
+	build := func(stage string, opts core.Options) (*core.Solution, error) {
+		opts.Observe = hooks.coreObserver(c.Name, stage)
+		if cfg.MC != "" {
+			opts.MC = core.MCBackend(cfg.MC)
+		}
+		if cfg.Lanes != 0 {
+			opts.Lanes = cfg.Lanes
+		}
+		return core.BuildContext(ctx, c, opts)
 	}
 	// stage runs one structure's build+measure under a guaranteed
-	// start/done pair: the done callback fires on the error paths too
-	// (with Failed set), so span accounting stays balanced however the
+	// start/done pair: the done event fires on the error paths too (with
+	// Failed set), so span accounting stays balanced however the
 	// experiment ends.
 	stage := func(name string, body func() error) error {
-		hooks.stageStart(c.Name, name)
+		hooks.emit(Event{Kind: EventStageStart, Circuit: c.Name, Stage: name})
 		start := time.Now()
 		err := body()
-		hooks.stageDone(c.Name, name, time.Since(start),
-			StageInfo{Patterns: len(res.Patterns), Failed: err != nil})
+		hooks.emit(Event{Kind: EventStageDone, Circuit: c.Name, Stage: name,
+			Elapsed: time.Since(start), Patterns: len(res.Patterns), Failed: err != nil})
 		return err
 	}
 
 	// Traditional scan.
 	if err := stage(StageTraditional, func() error {
 		var err error
-		cmp.Traditional, err = cfg.Measure.measure(scan.New(c), res.Patterns, scan.Traditional(c),
-			cfg.Leak, cfg.Cap, mopts(StageTraditional))
+		cmp.Traditional, err = measure(StageTraditional, c, scan.Traditional(c))
 		return err
 	}); err != nil {
 		return nil, err
@@ -327,22 +311,13 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	// Input-control baseline.
 	var icSol *core.Solution
 	if err := stage(StageInputControl, func() error {
-		icOpts := cfg.InputControl
-		icOpts.Observe = hooks.coreObserver(c.Name, StageInputControl)
-		if cfg.MC != "" {
-			icOpts.MC = core.MCBackend(cfg.MC)
-		}
-		if cfg.Lanes != 0 {
-			icOpts.Lanes = cfg.Lanes
-		}
 		var err error
-		icSol, err = core.BuildContext(ctx, c, icOpts)
+		icSol, err = build(StageInputControl, cfg.InputControl)
 		if err != nil {
 			return fmt.Errorf("scanpower: input-control build: %w", err)
 		}
 		cmp.InputControlStats = icSol.Stats
-		cmp.InputControl, err = cfg.Measure.measure(scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
-			cfg.Leak, cfg.Cap, mopts(StageInputControl))
+		cmp.InputControl, err = measure(StageInputControl, icSol.Circuit, icSol.Cfg)
 		return err
 	}); err != nil {
 		return nil, err
@@ -351,22 +326,13 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	// Proposed structure.
 	var sol *core.Solution
 	if err := stage(StageProposed, func() error {
-		propOpts := cfg.Proposed
-		propOpts.Observe = hooks.coreObserver(c.Name, StageProposed)
-		if cfg.MC != "" {
-			propOpts.MC = core.MCBackend(cfg.MC)
-		}
-		if cfg.Lanes != 0 {
-			propOpts.Lanes = cfg.Lanes
-		}
 		var err error
-		sol, err = core.BuildContext(ctx, c, propOpts)
+		sol, err = build(StageProposed, cfg.Proposed)
 		if err != nil {
 			return fmt.Errorf("scanpower: proposed build: %w", err)
 		}
 		cmp.ProposedStats = sol.Stats
-		cmp.Proposed, err = cfg.Measure.measure(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
-			cfg.Leak, cfg.Cap, mopts(StageProposed))
+		cmp.Proposed, err = measure(StageProposed, sol.Circuit, sol.Cfg)
 		return err
 	}); err != nil {
 		return nil, err

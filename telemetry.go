@@ -2,9 +2,8 @@ package scanpower
 
 import (
 	"fmt"
-	"time"
-
 	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -25,7 +24,7 @@ const (
 	MetricPatterns         = "scanpower_patterns_measured_total"
 	MetricCircuitsDone     = "scanpower_circuits_done_total"
 	// MetricPackedLanes counts scan cycles evaluated by the bit-parallel
-	// measurement kernel (64 per full batch); serial backends leave it 0.
+	// measurement kernel.
 	MetricPackedLanes = "scanpower_power_packed_lanes_total"
 	// MetricATPGFaultSimLanes counts pattern lanes evaluated by the
 	// packed fault-dropping passes of the ATPG stage ("drop" buffer
@@ -33,12 +32,12 @@ const (
 	MetricATPGFaultSimLanes = "scanpower_atpg_faultsim_lanes_total"
 	// MetricMCLanes counts Monte-Carlo lanes (observability vectors plus
 	// fill trials) evaluated by the packed MC kernels inside the structure
-	// builds; the scalar MC backend leaves it 0.
+	// builds.
 	MetricMCLanes = "scanpower_mc_packed_lanes_total"
 )
 
 // Recorder bridges Hooks to the telemetry substrate: it aggregates the
-// callback stream into registry metrics, emits the run → circuit → stage
+// event stream into registry metrics, emits the run → circuit → stage
 // → sub-stage span hierarchy to a TraceWriter, and accumulates the
 // per-circuit stage record a run manifest embeds. Either sink may be nil:
 // a nil registry drops metrics, a nil trace writer drops spans, and the
@@ -120,24 +119,9 @@ func NewRecorder(reg *telemetry.Registry, tw *telemetry.TraceWriter) *Recorder {
 	return r
 }
 
-// Hooks returns the callback set feeding this Recorder; merge it with any
+// Hooks returns the hooks feeding this Recorder; merge them with any
 // other hooks via MergeHooks.
-func (r *Recorder) Hooks() Hooks {
-	return Hooks{
-		OnStageStart:    r.onStageStart,
-		OnStageDone:     r.onStageDone,
-		OnProgress:      r.onProgress,
-		OnSubStage:      r.onSubStage,
-		OnPodemFault:    r.onPodemFault,
-		OnJustify:       r.onJustify,
-		OnObsSamples:    r.onObsSamples,
-		OnPattern:       r.onPattern,
-		OnMeasureBatch:  r.onMeasureBatch,
-		OnMCBatch:       r.onMCBatch,
-		OnFaultSimBatch: r.onFaultSimBatch,
-		OnPodemChunk:    r.onPodemChunk,
-	}
-}
+func (r *Recorder) Hooks() Hooks { return r.handle }
 
 // circuit returns (creating on first touch) the in-flight record, opening
 // the circuit span lazily under the run span. Callers hold r.mu.
@@ -154,19 +138,92 @@ func (r *Recorder) circuit(name string) *circuitRecord {
 	return cr
 }
 
-func (r *Recorder) onStageStart(circuit, stage string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	s := cr.span.Start(stage, nil)
-	cr.stages[stage] = append(cr.stages[stage], s)
+// handle is the Recorder's one event handler: it folds each event into
+// the registry metrics, the span tree and the manifest record.
+func (r *Recorder) handle(ev Event) {
+	switch ev.Kind {
+	case EventStageStart:
+		r.mu.Lock()
+		cr := r.circuit(ev.Circuit)
+		cr.stages[ev.Stage] = append(cr.stages[ev.Stage], cr.span.Start(ev.Stage, nil))
+		r.mu.Unlock()
+	case EventStageDone:
+		r.stageDone(ev)
+	case EventProgress:
+		// Circuits run outside an Engine (no progress feed) are flushed
+		// by FinishCircuit or Close instead.
+		r.FinishCircuit(ev.Circuit)
+	case EventSubStage:
+		r.reg.Histogram(fmt.Sprintf(MetricSubStageSeconds+`{stage=%q,sub=%q}`, ev.Stage, ev.Name), nil).
+			Observe(ev.Elapsed.Seconds())
+		if r.tw != nil {
+			r.completed(ev, ev.Name, map[string]any{"stage": ev.Stage})
+		}
+	case EventPodemFault:
+		if c, ok := r.podemByOutcome[ev.Name]; ok {
+			c.Inc()
+		}
+		r.podemBacktracks.Observe(float64(ev.Backtracks))
+	case EventJustify:
+		if ev.Failed {
+			r.justifyFail.Inc()
+		} else {
+			r.justifyOK.Inc()
+		}
+		r.justifyBacktracks.Observe(float64(ev.Backtracks))
+	case EventObsSamples:
+		r.obsSamples.Add(int64(ev.Count))
+	case EventPattern:
+		r.patterns.Inc()
+	case EventMeasureBatch:
+		r.packedLanes.Add(int64(ev.Lanes))
+		if r.tw != nil {
+			r.completed(ev, "measure-batch", map[string]any{"stage": ev.Stage, "lanes": ev.Lanes})
+		}
+	case EventMCBatch:
+		r.mcLanes.Add(int64(ev.Lanes))
+		if r.tw != nil {
+			r.completed(ev, "mc-batch", map[string]any{
+				"stage": ev.Stage, "kind": ev.Name, "lanes": ev.Lanes,
+			})
+		}
+	case EventFaultSimBatch:
+		r.faultSimLanes.Add(int64(ev.Lanes))
+		if r.tw != nil {
+			r.completed(ev, "faultsim-batch", map[string]any{
+				"stage": ev.Stage, "kind": ev.Name, "lanes": ev.Lanes,
+			})
+		}
+	case EventPodemChunk:
+		if r.tw != nil {
+			r.completed(ev, "podem-chunk", map[string]any{
+				"stage": ev.Stage, "start": ev.Index, "faults": ev.Count,
+			})
+		}
+	}
 }
 
-func (r *Recorder) onStageDone(circuit, stage string, elapsed time.Duration, info StageInfo) {
-	r.reg.Histogram(fmt.Sprintf(MetricStageSeconds+`{stage=%q}`, stage), nil).
-		Observe(elapsed.Seconds())
-	if stage == StageATPG {
-		if info.CacheHit {
+// completed emits one completed span named name, lasting ev.Elapsed,
+// under the open span of ev's stage (the circuit span when none is
+// open).
+func (r *Recorder) completed(ev Event, name string, attrs map[string]any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cr := r.circuit(ev.Circuit)
+	parent := cr.span
+	if st := cr.stages[ev.Stage]; len(st) > 0 {
+		parent = st[len(st)-1]
+	}
+	parent.Completed(name, ev.Elapsed, attrs)
+}
+
+// stageDone records a finished stage: its latency histogram, the ATPG
+// cache counters, the close of its span and its manifest entry.
+func (r *Recorder) stageDone(ev Event) {
+	r.reg.Histogram(fmt.Sprintf(MetricStageSeconds+`{stage=%q}`, ev.Stage), nil).
+		Observe(ev.Elapsed.Seconds())
+	if ev.Stage == StageATPG {
+		if ev.CacheHit {
 			r.cacheHits.Inc()
 		} else {
 			r.cacheMisses.Inc()
@@ -175,156 +232,33 @@ func (r *Recorder) onStageDone(circuit, stage string, elapsed time.Duration, inf
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	if st := cr.stages[stage]; len(st) > 0 {
+	cr := r.circuit(ev.Circuit)
+	if st := cr.stages[ev.Stage]; len(st) > 0 {
 		s := st[len(st)-1]
-		cr.stages[stage] = st[:len(st)-1]
-		s.End(stageAttrs(info))
+		cr.stages[ev.Stage] = st[:len(st)-1]
+		s.End(stageAttrs(ev))
 	}
 	cr.manifest.Stages = append(cr.manifest.Stages, telemetry.StageManifest{
-		Stage:      stage,
-		WallNS:     elapsed.Nanoseconds(),
-		Patterns:   info.Patterns,
-		Backtracks: info.Backtracks,
-		CacheHit:   info.CacheHit,
+		Stage:      ev.Stage,
+		WallNS:     ev.Elapsed.Nanoseconds(),
+		Patterns:   ev.Patterns,
+		Backtracks: ev.Backtracks,
+		CacheHit:   ev.CacheHit,
 	})
 }
 
-func stageAttrs(info StageInfo) map[string]any {
-	attrs := map[string]any{"patterns": info.Patterns}
-	if info.Backtracks > 0 {
-		attrs["backtracks"] = info.Backtracks
+func stageAttrs(ev Event) map[string]any {
+	attrs := map[string]any{"patterns": ev.Patterns}
+	if ev.Backtracks > 0 {
+		attrs["backtracks"] = ev.Backtracks
 	}
-	if info.CacheHit {
+	if ev.CacheHit {
 		attrs["cache_hit"] = true
 	}
-	if info.Failed {
+	if ev.Failed {
 		attrs["failed"] = true
 	}
 	return attrs
-}
-
-// onMeasureBatch counts bit-parallel lanes and, when tracing, emits one
-// completed span per packed batch under the owning stage span.
-func (r *Recorder) onMeasureBatch(circuit, stage string, lanes int, elapsed time.Duration) {
-	r.packedLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("measure-batch", elapsed, map[string]any{"stage": stage, "lanes": lanes})
-}
-
-// onMCBatch counts packed Monte-Carlo lanes and, when tracing, emits one
-// completed span per batch under the owning stage span, tagged with the
-// kernel kind ("obs" or "fill").
-func (r *Recorder) onMCBatch(circuit, stage, kind string, lanes int, elapsed time.Duration) {
-	r.mcLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("mc-batch", elapsed, map[string]any{
-		"stage": stage, "kind": kind, "lanes": lanes,
-	})
-}
-
-// onFaultSimBatch counts packed fault-simulation lanes and, when tracing,
-// emits one completed span per fault-dropping pass under the ATPG stage
-// span, tagged with the pass kind ("drop" or "compact").
-func (r *Recorder) onFaultSimBatch(circuit, kind string, lanes int, elapsed time.Duration) {
-	r.faultSimLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[StageATPG]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("faultsim-batch", elapsed, map[string]any{
-		"stage": StageATPG, "kind": kind, "lanes": lanes,
-	})
-}
-
-// onPodemChunk emits one completed span per fault-parallel PODEM chunk
-// under the ATPG stage span. It arrives concurrently from scheduler
-// workers; r.mu makes it safe like every other handler.
-func (r *Recorder) onPodemChunk(circuit string, start, n int, elapsed time.Duration) {
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[StageATPG]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("podem-chunk", elapsed, map[string]any{
-		"stage": StageATPG, "start": start, "faults": n,
-	})
-}
-
-func (r *Recorder) onSubStage(circuit, stage, sub string, elapsed time.Duration, info StageInfo) {
-	r.reg.Histogram(fmt.Sprintf(MetricSubStageSeconds+`{stage=%q,sub=%q}`, stage, sub), nil).
-		Observe(elapsed.Seconds())
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed(sub, elapsed, map[string]any{"stage": stage})
-}
-
-func (r *Recorder) onPodemFault(_ string, info PodemFaultInfo) {
-	if c, ok := r.podemByOutcome[info.Outcome]; ok {
-		c.Inc()
-	}
-	r.podemBacktracks.Observe(float64(info.Backtracks))
-}
-
-func (r *Recorder) onJustify(_ string, info JustifyInfo) {
-	if info.Success {
-		r.justifyOK.Inc()
-	} else {
-		r.justifyFail.Inc()
-	}
-	r.justifyBacktracks.Observe(float64(info.Backtracks))
-}
-
-func (r *Recorder) onObsSamples(_ string, samples int) {
-	r.obsSamples.Add(int64(samples))
-}
-
-func (r *Recorder) onPattern(_, _ string, _ int) {
-	r.patterns.Inc()
-}
-
-// onProgress closes the circuit's span and moves its stage record to the
-// finished list. Circuits run outside an Engine (no progress feed) are
-// flushed by Close instead.
-func (r *Recorder) onProgress(circuit string, _, _ int) {
-	r.FinishCircuit(circuit)
 }
 
 // FinishCircuit closes the named circuit's open span and moves its stage

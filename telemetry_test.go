@@ -241,7 +241,7 @@ func TestRecorderNilSinks(t *testing.T) {
 // manifest entry of the right circuit.
 func TestRecorderCircuitError(t *testing.T) {
 	rec := NewRecorder(nil, nil)
-	rec.Hooks().OnStageStart("sX", StageATPG)
+	rec.Hooks()(Event{Kind: EventStageStart, Circuit: "sX", Stage: StageATPG})
 	rec.CircuitError("sX", fmt.Errorf("boom"))
 	rec.CircuitError("sY", fmt.Errorf("late"))
 	rec.Close()
@@ -258,20 +258,24 @@ func TestRecorderCircuitError(t *testing.T) {
 	}
 }
 
-// TestMergeHooksAllFire: merged hook sets must both observe every event
-// class, in argument order.
+// TestMergeHooksAllFire: merged hooks must each observe every event, in
+// argument order, skipping nil arguments.
 func TestMergeHooksAllFire(t *testing.T) {
 	var order []string
 	mk := func(tag string) Hooks {
-		return Hooks{
-			OnStageStart: func(string, string) { order = append(order, tag+".start") },
-			OnPodemFault: func(string, PodemFaultInfo) { order = append(order, tag+".podem") },
+		return func(ev Event) {
+			switch ev.Kind {
+			case EventStageStart:
+				order = append(order, tag+".start")
+			case EventPodemFault:
+				order = append(order, tag+"."+ev.Name)
+			}
 		}
 	}
-	h := MergeHooks(mk("a"), Hooks{}, mk("b"))
-	h.OnStageStart("c", StageATPG)
-	h.OnPodemFault("c", PodemFaultInfo{})
-	want := []string{"a.start", "b.start", "a.podem", "b.podem"}
+	h := MergeHooks(mk("a"), nil, mk("b"))
+	h(Event{Kind: EventStageStart, Circuit: "c", Stage: StageATPG})
+	h(Event{Kind: EventPodemFault, Circuit: "c", Stage: StageATPG, Name: "detected"})
+	want := []string{"a.start", "b.start", "a.detected", "b.detected"}
 	if len(order) != len(want) {
 		t.Fatalf("events = %v, want %v", order, want)
 	}
@@ -279,5 +283,8 @@ func TestMergeHooksAllFire(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("events = %v, want %v", order, want)
 		}
+	}
+	if MergeHooks(nil, nil) != nil {
+		t.Error("MergeHooks of nil hooks is not nil")
 	}
 }
