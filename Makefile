@@ -92,13 +92,18 @@ bench-cluster:
 	$(GO) run ./scripts/loadsmoke -out BENCH_$(DATE)_cluster.json
 
 # Short production-vs-reference equivalence fuzz: random circuits,
-# pattern sets and shift configs through the packed measurement kernel
-# and the dense reference (bit-equal reports), then random circuits and
-# flow shapes through the packed Monte-Carlo kernels and the scalar
+# pattern sets, shift configs and chain counts through the packed
+# measurement kernel and the dense reference (bit-equal reports), and its
+# two building blocks alone — the popcount state counter against a
+# scalar per-cycle counter (exact counts) and the packed scan stimulus
+# against Run's per-cycle stream (bit-equal lanes); then random circuits
+# and flow shapes through the packed Monte-Carlo kernels and the scalar
 # reference (bit-equal solutions). The seed corpora also run on every
 # plain `go test`.
 fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
+	$(GO) test ./internal/leakage/ -run '^$$' -fuzz FuzzCountStatesPacked -fuzztime 10s
+	$(GO) test ./internal/scan/ -run '^$$' -fuzz FuzzRunPackedMatchesRun -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzMCPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s

@@ -209,14 +209,13 @@ func BenchmarkSimEval(b *testing.B) {
 func BenchmarkLeakageCircuit(b *testing.B) {
 	c := benchCircuit(b, "s1423")
 	lm := leakage.Default()
-	tabs := lm.CircuitTables(c)
 	state := make([]bool, c.NumNets())
 	for i := range state {
 		state[i] = i%3 == 0
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lm.CircuitLeakBoolTabs(c, state, tabs)
+		lm.CircuitLeakBool(c, state)
 	}
 }
 

@@ -5,34 +5,12 @@ import "repro/internal/netlist"
 // CircuitTables precomputes, for every gate of the frozen circuit, a
 // pointer to its leakage table indexed by the packed binary input pattern
 // (bit i = input i). It removes the per-gate map lookup from hot
-// measurement loops; use with CircuitLeakBoolTabs.
+// loops such as AccumLeakPackedW.
 func (m *Model) CircuitTables(c *netlist.Circuit) [][]float64 {
 	tabs := make([][]float64, c.NumGates())
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
-		key := tableKey{g.Type, len(g.Inputs)}
-		tab, ok := m.tables[key]
-		if !ok {
-			m.buildTable(g.Type, len(g.Inputs))
-			tab = m.tables[key]
-		}
-		tabs[gi] = tab
+		tabs[gi] = m.table(g.Type, len(g.Inputs))
 	}
 	return tabs
-}
-
-// CircuitLeakBoolTabs is CircuitLeakBool using tables from CircuitTables.
-func (m *Model) CircuitLeakBoolTabs(c *netlist.Circuit, state []bool, tabs [][]float64) float64 {
-	total := 0.0
-	for gi := range c.Gates {
-		g := &c.Gates[gi]
-		bits := 0
-		for i, in := range g.Inputs {
-			if state[in] {
-				bits |= 1 << i
-			}
-		}
-		total += tabs[gi][bits]
-	}
-	return total
 }

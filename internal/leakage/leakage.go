@@ -116,6 +116,17 @@ func (m *Model) buildTable(t logic.GateType, arity int) {
 	m.tables[tableKey{t, arity}] = tab
 }
 
+// table returns the cell table of type t at the given arity, building it
+// on first use.
+func (m *Model) table(t logic.GateType, arity int) []float64 {
+	tab, ok := m.tables[tableKey{t, arity}]
+	if !ok {
+		m.buildTable(t, arity)
+		tab = m.tables[tableKey{t, arity}]
+	}
+	return tab
+}
+
 // raw computes the leakage of one cell instance for a binary input
 // pattern, in nA.
 func (m *Model) raw(t logic.GateType, in []bool) float64 {
@@ -294,11 +305,7 @@ func (m *Model) muxLeak(d0, d1, sel bool) float64 {
 // values (independently, probability 1/2 each) — the steady "unknown,
 // toggling" state a non-blocked line has during scan shifting.
 func (m *Model) GateLeak(t logic.GateType, in []logic.Value) float64 {
-	tab, ok := m.tables[tableKey{t, len(in)}]
-	if !ok {
-		m.buildTable(t, len(in))
-		tab = m.tables[tableKey{t, len(in)}]
-	}
+	tab := m.table(t, len(in))
 	// Enumerate refinements of X positions.
 	sum := 0.0
 	count := 0
@@ -330,12 +337,7 @@ func (m *Model) GateLeak(t logic.GateType, in []logic.Value) float64 {
 // GateLeakBits returns the leakage of one gate for a binary input pattern
 // encoded as bits (bit i = input i), in nA.
 func (m *Model) GateLeakBits(t logic.GateType, arity, bits int) float64 {
-	tab, ok := m.tables[tableKey{t, arity}]
-	if !ok {
-		m.buildTable(t, arity)
-		tab = m.tables[tableKey{t, arity}]
-	}
-	return tab[bits]
+	return m.table(t, arity)[bits]
 }
 
 // CircuitLeak sums the expected leakage of every gate of the frozen

@@ -4,15 +4,6 @@ import (
 	"repro/internal/netlist"
 )
 
-// AccumLeakPacked adds every gate's leakage to the per-lane accumulators
-// for a bit-parallel per-net state: words[n] carries net n's value in bit
-// t for lane t (the layout of sim.Packed), and cyc[t] receives the sum of
-// tabs[gi][input bits of gate gi in lane t] over all gates, for t < n.
-// It is AccumLeakPackedW at one word per net.
-func (m *Model) AccumLeakPacked(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-	m.AccumLeakPackedW(c, words, 1, n, tabs, cyc)
-}
-
 // AccumLeakPackedW is the lane-width-generic packed leakage accumulator:
 // words holds ww uint64 words per net (net n's group at
 // words[int(n)*ww:...], lane t at bit t&63 of word t>>6 — the layout of
@@ -20,12 +11,12 @@ func (m *Model) AccumLeakPacked(c *netlist.Circuit, words []uint64, n int, tabs 
 // of tabs[gi][input bits in lane t] over all gates, for t < n.
 //
 // The accumulation order is load-bearing: each cyc[t] is built in
-// ascending gate-index order — exactly the order CircuitLeakBoolTabs sums
+// ascending gate-index order — exactly the order CircuitLeakBool sums
 // one scalar state — so a caller that then folds cyc[0..n) in lane order
 // reproduces the serial per-cycle leakage sums bit for bit, at any lane
-// width. That is what lets the packed power kernels stay bit-identical
-// to the serial one despite floating-point addition being
-// non-associative.
+// width. That is what lets the packed observability estimate
+// (obs.EstimatePacked) stay bit-identical to its serial reference despite
+// floating-point addition being non-associative.
 //
 // Internally the lanes are tiled eight at a time: one 8-lane block of
 // accumulators stays in registers across a full walk of the gate list,

@@ -42,11 +42,7 @@ func (m *Model) CircuitTables3(c *netlist.Circuit) [][]float64 {
 // GateLeak's enumeration (ascending refinement mask, X positions scattered
 // in ascending input order) so every entry is bit-identical to it.
 func (m *Model) buildTable3(t logic.GateType, arity int) []float64 {
-	tab, ok := m.tables[tableKey{t, arity}]
-	if !ok {
-		m.buildTable(t, arity)
-		tab = m.tables[tableKey{t, arity}]
-	}
+	tab := m.table(t, arity)
 	size := 1 << uint(arity)
 	avg := make([]float64, size*size)
 	var xPos []int
@@ -102,12 +98,13 @@ func (m *Model) CircuitLeakTabs3(c *netlist.Circuit, state []logic.Value, tabs3 
 	return total
 }
 
-// AccumLeak3Packed is AccumLeakPacked for the dual-rail three-valued lane
-// layout of sim.Packed3: v[n]/x[n] carry net n's packed value/unknown
-// bits, and cyc[t] receives the X-averaged leakage sum of lane t over all
-// gates, for t < n, using tables from CircuitTables3.
+// AccumLeak3Packed is the three-valued AccumLeakPackedW at one word per
+// net, for the dual-rail lane layout of sim.Packed3: v[n]/x[n] carry net
+// n's packed value/unknown bits, and cyc[t] receives the X-averaged
+// leakage sum of lane t over all gates, for t < n, using tables from
+// CircuitTables3.
 //
-// As with AccumLeakPacked, the accumulation order is load-bearing: each
+// As with AccumLeakPackedW, the accumulation order is load-bearing: each
 // cyc[t] is built in ascending gate-index order — exactly the order
 // CircuitLeak (and CircuitLeakTabs3) sums one scalar state — so per-lane
 // totals are bit-identical to the serial evaluation of the same

@@ -1,6 +1,9 @@
 package netlist
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+	"slices"
+)
 
 // Fingerprint returns a structural hash of the frozen circuit: the name,
 // the PI/PO/FF boundary, and every gate's type and connectivity. Two
@@ -40,4 +43,32 @@ func (c *Circuit) Fingerprint() uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// SameStructure reports whether c and o are the same netlist up to names:
+// equal net counts, the same PI, PO and flop boundary, and every gate of
+// the same type driving the same net from the same inputs in the same
+// order. Analyses that read only structure (compiled simulation, loads,
+// leakage states) give equal results on such circuits. It is the exact
+// form of comparing Fingerprints, without hashing.
+func (c *Circuit) SameStructure(o *Circuit) bool {
+	if c == o {
+		return true
+	}
+	if len(c.Nets) != len(o.Nets) || len(c.Gates) != len(o.Gates) ||
+		!slices.Equal(c.PIs, o.PIs) || !slices.Equal(c.POs, o.POs) || len(c.FFs) != len(o.FFs) {
+		return false
+	}
+	for i, ff := range c.FFs {
+		if ff.D != o.FFs[i].D || ff.Q != o.FFs[i].Q {
+			return false
+		}
+	}
+	for gi := range c.Gates {
+		g, h := &c.Gates[gi], &o.Gates[gi]
+		if g.Type != h.Type || g.Output != h.Output || !slices.Equal(g.Inputs, h.Inputs) {
+			return false
+		}
+	}
+	return true
 }

@@ -297,3 +297,29 @@ func TestNetByNameMissing(t *testing.T) {
 		t.Error("NetByName found a missing net")
 	}
 }
+
+// TestSameStructure: a clone has the structure (and the Fingerprint) of
+// its original; permuting one gate's inputs or adding a PO breaks it.
+func TestSameStructure(t *testing.T) {
+	c := buildS27ish(t)
+	cp := c.Clone()
+	if err := cp.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SameStructure(cp) || !cp.SameStructure(c) || c.Fingerprint() != cp.Fingerprint() {
+		t.Fatal("clone differs from its original")
+	}
+	in := cp.Gates[2].Inputs
+	in[0], in[1] = in[1], in[0]
+	if c.SameStructure(cp) {
+		t.Error("permuted gate inputs not detected")
+	}
+	in[0], in[1] = in[1], in[0]
+	cp.MarkPO("G9")
+	if err := cp.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if c.SameStructure(cp) {
+		t.Error("extra PO not detected")
+	}
+}

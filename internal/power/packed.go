@@ -1,29 +1,35 @@
 package power
 
 import (
+	"fmt"
 	"math/bits"
 	"time"
 
 	"repro/internal/leakage"
+	"repro/internal/netlist"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
 
-// MeasureScanPacked is MeasureScan on the bit-parallel simulator: it
-// packs consecutive scan-stream cycles into lane words — 64 per uint64,
-// opts.Lanes cycles per batch (default sim.WideLanes = 256) — evaluates
-// the combinational core once per batch with word-wide boolean operations
-// over the compiled levelized program, counts toggled capacitance from
-// the popcount of prev^cur per net, and resolves every gate's leakage
-// state per lane from the packed words.
+// MeasureScanPacked is MeasureScan on the bit-parallel simulator: the
+// scan stream arrives as packed lane words straight from the chain's
+// shift-register algebra (scan.Runner.RunPacked), opts.Lanes consecutive
+// cycles per batch (default sim.WideLanes = 256), and the combinational
+// core is evaluated once per batch over the compiled levelized program.
+// Nothing is summed per cycle that a mean does not need:
 //
-// Results are bit-identical to MeasureScan — not merely close, and at
-// every supported lane width: the per-cycle accumulation orders of the
-// serial kernel (net order within a cycle for switched capacitance, gate
-// order within a cycle for leakage, cycle order across the run) are
-// reproduced exactly, so every float in the Report matches to the last
-// ulp. The equivalence is enforced by unit and fuzz tests. This is the
-// one production measurement kernel.
+//   - static power is per-gate, per-input-state occupancy counted by
+//     popcounts (leakage.StateCounter), folded once as Σ count·table in
+//     ascending (gate, state) order;
+//   - mean dynamic power is a per-net toggle popcount, folded once as
+//     Σ toggles·load in net order;
+//   - only the peak is per cycle: each cycle's switched capacitance is
+//     summed over its toggling nets in net order, and the largest kept.
+//
+// MeasureScan accounts the same way one cycle at a time, so the two
+// Reports are bit-identical — not merely close, and at every supported
+// lane width; unit and fuzz tests enforce it. This is the one production
+// measurement kernel.
 func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
 	return MeasureScanPackedOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
@@ -32,200 +38,143 @@ func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftCo
 // MeasureScanPackedOpts is MeasureScanPacked with accounting options.
 func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
-
-	lanes, err := sim.ResolveLanes(opts.Lanes)
+	m, err := NewMeter(ch.Circuit(), lm, cm, opts.Lanes)
 	if err != nil {
 		return Report{}, err
 	}
-	ww := lanes / 64
+	return m.Measure(ch, patterns, cfg, opts)
+}
 
-	c := ch.Circuit()
-	prog := sim.Compile(c)
-	loads := cm.NetLoads(c)
-	leakTabs := lm.CircuitTables(c)
-	nNets := c.NumNets()
+// Meter is MeasureScanPacked bound to one netlist: the compiled program,
+// the per-net loads and the counters, reused from one Measure call to
+// the next. Build one per distinct netlist and measure every structure
+// that shares the netlist with it. A Meter is not safe for concurrent
+// use.
+type Meter struct {
+	c        *netlist.Circuit
+	lm       *leakage.Model
+	cm       CapModel
+	lanes    int
+	loads    []float64
+	eval     func(pi, ppi []uint64) []uint64 // lanes-wide, ww words per net
+	states   *leakage.StateCounter
+	toggles  []int64   // per net, over the run
+	prevBit  []uint64  // per net, last cycle of the previous batch (bit 0)
+	cycDelta []float64 // per lane of a batch: switched capacitance
+}
 
-	// eval runs the shared compiled program at the chosen width over the
-	// flat input layout (ww words per PI/FF) and returns the flat per-net
-	// lane words (ww words per net).
-	var eval func(piW, ppiW []uint64) []uint64
-	if ww == 1 {
-		ps := sim.NewPackedProgram(prog)
-		eval = ps.Eval
-	} else {
-		wide := sim.NewWideProgram(prog)
-		eval = wide.Eval
+// NewMeter prepares the measurement kernel for the frozen circuit c at
+// the given batch width (0 means sim.WideLanes; see sim.LaneWidths).
+func NewMeter(c *netlist.Circuit, lm *leakage.Model, cm CapModel, lanes int) (*Meter, error) {
+	lanes, err := sim.ResolveLanes(lanes)
+	if err != nil {
+		return nil, err
 	}
+	prog := sim.Compile(c)
+	m := &Meter{
+		c: c, lm: lm, cm: cm, lanes: lanes,
+		loads:    cm.NetLoads(c),
+		states:   leakage.NewStateCounter(c),
+		toggles:  make([]int64, c.NumNets()),
+		prevBit:  make([]uint64, c.NumNets()),
+		cycDelta: make([]float64, lanes),
+	}
+	if lanes == sim.PackedLanes {
+		m.eval = sim.NewPackedProgram(prog).Eval
+	} else {
+		m.eval = sim.NewWideProgram(prog).Eval
+	}
+	return m, nil
+}
 
-	// The capture responses run the same compiled program one lane at a
-	// time (lane 0 of a private packed instance): bit 0 of every output
-	// word is exactly the scalar evaluation of the same inputs, so this
-	// changes nothing but the cost of the throwaway capture simulation.
-	capSim := sim.NewPackedProgram(prog)
-	capPI := make([]uint64, len(c.PIs))
-	capPPI := make([]uint64, c.NumFFs())
+// Circuit returns the netlist the Meter was built for.
+func (m *Meter) Circuit() *netlist.Circuit { return m.c }
 
-	var (
-		piW  = make([]uint64, len(c.PIs)*ww)
-		ppiW = make([]uint64, c.NumFFs()*ww)
-		lane int // cycles packed into the current batch
+// Measure runs the packed kernel on one structure. ch must thread a
+// circuit with the Meter's netlist (the same circuit, or one with the
+// same structure; see netlist.Circuit.SameStructure); opts.Lanes is
+// ignored in favour of the Meter's width.
+func (m *Meter) Measure(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
+	opts MeasureOptions) (Report, error) {
 
-		// prevBit[n] is net n's value on the last cycle of the previous
-		// batch (bit 0), the seed for cross-batch transition counting.
-		prevBit = make([]uint64, nNets)
-		primed  bool // true once the first observed cycle has been consumed
+	if sc := ch.Circuit(); !m.c.SameStructure(sc) {
+		return Report{}, fmt.Errorf("power: circuit %s is not the meter's netlist %s", sc.Name, m.c.Name)
+	}
+	m.states.Reset()
+	clear(m.toggles)
+	ww := m.lanes / 64
+	primed := false // true once the first observed cycle has been consumed
+	peak := 0.0
 
-		cycDelta = make([]float64, lanes)
-		cycLeak  = make([]float64, lanes)
-
-		dynTotal, peak float64
-		rawToggles     int64
-		cycles         int
-		leakSum        float64
-		leakCycles     int
-	)
-
-	// flush evaluates the batched lanes and folds them into the running
-	// sums in exactly the serial order: per lane, switched capacitance in
-	// net order and leakage in gate order; across lanes, ascending cycle
-	// order.
-	flush := func() {
-		n := lane
-		if n == 0 {
-			return
-		}
+	shift := func(pi, ppi []uint64, n int) {
 		start := time.Now()
-		words := eval(piW, ppiW)
-
-		for t := 0; t < n; t++ {
-			cycLeak[t] = 0
-			cycDelta[t] = 0
-		}
-		lm.AccumLeakPackedW(c, words, ww, n, leakTabs, cycLeak)
-
-		kLast := (n - 1) >> 6
-		lastShift := uint((n - 1) & 63)
-		for ni := 0; ni < nNets; ni++ {
-			load := loads[ni]
-			carry := prevBit[ni]
-			for k, base := 0, 0; base < n; k, base = k+1, base+64 {
-				valid := ^uint64(0)
-				if rem := n - base; rem < 64 {
-					valid = 1<<uint(rem) - 1
-				}
-				w := words[ni*ww+k] & valid
-				// Toggle word: bit t set iff the net differs between
-				// lane t and lane t-1 (bit 0 compares against the
-				// previous word's top lane, or across batches for k=0).
-				tw := (w ^ (w<<1 | carry)) & valid
-				if k == 0 && !primed {
-					tw &^= 1 // the first cycle ever is the priming observation
-				}
-				carry = w >> 63
-				if tw == 0 {
-					continue
-				}
-				rawToggles += int64(bits.OnesCount64(tw))
-				cw := cycDelta[base:]
-				for ; tw != 0; tw &= tw - 1 {
-					cw[bits.TrailingZeros64(tw)] += load
-				}
-			}
-			prevBit[ni] = words[ni*ww+kLast] >> lastShift & 1
-		}
-
-		first := 0
-		if !primed {
-			first = 1
-		}
-		for t := first; t < n; t++ {
-			d := cycDelta[t]
-			dynTotal += d
-			if d > peak {
-				peak = d
-			}
-			cycles++
-		}
-		for t := 0; t < n; t++ {
-			leakSum += cycLeak[t]
-			leakCycles++
-		}
-
+		words := m.eval(pi, ppi)
+		m.states.CountStatesPacked(words, ww, n)
+		peak = max(peak, m.countToggles(words, ww, n, primed))
 		primed = true
-		lane = 0
-		for i := range piW {
-			piW[i] = 0
-		}
-		for i := range ppiW {
-			ppiW[i] = 0
-		}
 		if opts.OnBatch != nil {
 			opts.OnBatch(n, time.Since(start))
 		}
 	}
-
-	observe := func(pi, ppi []bool) {
-		wk, bit := lane>>6, uint(lane&63)
-		for i, v := range pi {
-			piW[i*ww+wk] |= b2w(v) << bit
-		}
-		for i, v := range ppi {
-			ppiW[i*ww+wk] |= b2w(v) << bit
-		}
-		lane++
-		if lane == lanes {
-			flush()
+	// The capture responses run through the same evaluator, one pattern
+	// per lane; the shift accounting above has finished with its words.
+	capture := func(pi, ppi, next []uint64) {
+		vals := m.eval(pi, ppi)
+		for i, ff := range m.c.FFs {
+			copy(next[i*ww:(i+1)*ww], vals[int(ff.D)*ww:])
 		}
 	}
-
-	hooks := scan.Hooks{
-		ShiftCycle: observe,
-		Stop:       opts.stopHook(),
-		Capture: opts.patternHook(func(pi, ppi []bool) []bool {
-			if opts.IncludeCapture {
-				observe(pi, ppi)
-			}
-			// The capture response is a pure function of the applied
-			// inputs; a throwaway single-lane evaluation decides it
-			// without disturbing the packed stream.
-			for i, v := range pi {
-				capPI[i] = b2w(v)
-			}
-			for i, v := range ppi {
-				capPPI[i] = b2w(v)
-			}
-			vals := capSim.Eval(capPI, capPPI)
-			next := make([]bool, c.NumFFs())
-			for i, ff := range c.FFs {
-				next[i] = vals[ff.D]&1 != 0
-			}
-			return next
-		}),
-	}
-	if err := ch.Run(patterns, cfg, hooks); err != nil {
+	h := scan.PackedHooks{Lanes: m.lanes, Shift: shift, Capture: capture,
+		Pattern: opts.OnPattern, Stop: opts.stopHook()}
+	if err := ch.RunPacked(patterns, cfg, h); err != nil {
 		return Report{}, err
 	}
-	flush() // drain the final partial batch
-
-	var r Report
-	r.Cycles = cycles
-	if cycles > 0 {
-		toUWHz := cm.VDD * cm.VDD / 2 * 1e-9
-		r.DynamicPerHz = dynTotal / float64(cycles) * toUWHz
-		r.PeakDynamicPerHz = peak * toUWHz
-		r.MeanTogglesPerCycle = float64(rawToggles) / float64(cycles)
-	}
-	if leakCycles > 0 {
-		r.MeanLeakNA = leakSum / float64(leakCycles)
-		r.StaticUW = lm.PowerUW(r.MeanLeakNA)
-	}
-	return r, nil
+	return finish(m.cm, m.lm, m.loads, m.toggles, peak, m.states.Resolve()), nil
 }
 
-// b2w converts a bool to a 0/1 word without a branch.
-func b2w(v bool) uint64 {
-	if v {
-		return 1
+// countToggles adds each net's transitions over the n lanes of a batch to
+// the per-net toggle counts and returns the batch's largest per-cycle
+// switched capacitance. A lane's transition compares it with the lane
+// before, or for lane 0 with the previous batch's last cycle; the very
+// first observed cycle only primes the comparison.
+func (m *Meter) countToggles(words []uint64, ww, n int, primed bool) float64 {
+	nw := (n + 63) >> 6
+	last := ^uint64(0) >> uint(nw*64-n) // valid lanes of the last word
+	cyc := m.cycDelta
+	clear(cyc[:n])
+	for ni, load := range m.loads {
+		g := words[ni*ww : ni*ww+nw]
+		carry := m.prevBit[ni]
+		if !primed {
+			carry = g[0] & 1 // lane 0 compares with itself: no transition
+		}
+		cnt := 0
+		for k, w := range g {
+			valid := ^uint64(0)
+			if k == nw-1 {
+				valid = last
+			}
+			w &= valid
+			// Toggle word: bit t set iff the net differs between lane t
+			// and lane t-1 (bit 0 compares against the previous word's
+			// top lane, or across batches for k=0).
+			tw := (w ^ (w<<1 | carry)) & valid
+			carry = w >> 63
+			if tw == 0 {
+				continue
+			}
+			cnt += bits.OnesCount64(tw)
+			cw := (*[64]float64)(cyc[k*64:])
+			for ; tw != 0; tw &= tw - 1 {
+				cw[bits.TrailingZeros64(tw)&63] += load
+			}
+		}
+		m.toggles[ni] += int64(cnt)
+		m.prevBit[ni] = g[nw-1] >> uint((n-1)&63) & 1
 	}
-	return 0
+	peak := 0.0
+	for _, d := range cyc[:n] {
+		peak = max(peak, d)
+	}
+	return peak
 }

@@ -46,47 +46,52 @@ func randomPatterns(rng *rand.Rand, c *netlist.Circuit, n int) []scan.Pattern {
 }
 
 // TestMeasureScanPackedMatchesSlow: the bit-parallel kernel must agree
-// with the full re-evaluation path bit for bit, across structures,
-// capture accounting modes, and batch-boundary-crossing pattern counts.
+// with the full re-evaluation path bit for bit, on s344 and the six
+// circuits of the benchmark's cold-designs workload, across structures,
+// single and multiple chains, and batch-boundary-crossing pattern counts.
 func TestMeasureScanPackedMatchesSlow(t *testing.T) {
-	p, _ := iscas.ByName("s344")
-	c, err := iscas.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lm := leakage.Default()
 	cm := DefaultCapModel()
 	rng := rand.New(rand.NewSource(21))
-
-	cfgs := []scan.ShiftConfig{scan.Traditional(c)}
-	withMux := scan.Traditional(c)
-	for f := range withMux.Muxed {
-		if f%2 == 0 {
-			withMux.Muxed[f] = true
-			withMux.MuxVal[f] = f%4 == 0
+	for _, name := range []string{"s344", "s641", "s713", "s1196", "s1238", "s1423", "s1494"} {
+		p, _ := iscas.ByName(name)
+		c, err := iscas.Generate(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	withMux.PIHold[0] = logic.One
-	cfgs = append(cfgs, withMux)
+		cfgs := []scan.ShiftConfig{scan.Traditional(c)}
+		withMux := scan.Traditional(c)
+		for f := range withMux.Muxed {
+			if f%2 == 0 {
+				withMux.Muxed[f] = true
+				withMux.MuxVal[f] = f%4 == 0
+			}
+		}
+		withMux.PIHold[0] = logic.One
+		cfgs = append(cfgs, withMux)
+		three, err := scan.NewChains(c, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners := []scan.Runner{scan.New(c), three}
 
-	for _, nPats := range []int{1, 12} {
-		pats := randomPatterns(rng, c, nPats)
-		for ci, cfg := range cfgs {
-			for _, includeCapture := range []bool{false, true} {
-				opts := MeasureOptions{IncludeCapture: includeCapture}
-				slow, err := measureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, lanes := range sim.LaneWidths() {
-					opts.Lanes = lanes
-					packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		for _, nPats := range []int{1, 12} {
+			pats := randomPatterns(rng, c, nPats)
+			for ci, cfg := range cfgs {
+				for ri, ch := range runners {
+					slow, err := measureScanOpts(ch, pats, cfg, lm, cm, MeasureOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if field := reportsIdentical(slow, packed); field != "" {
-						t.Errorf("pats=%d cfg=%d cap=%v lanes=%d: %s differs: serial %+v, packed %+v",
-							nPats, ci, includeCapture, lanes, field, slow, packed)
+					for _, lanes := range sim.LaneWidths() {
+						packed, err := MeasureScanPackedOpts(ch, pats, cfg, lm, cm, MeasureOptions{Lanes: lanes})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if field := reportsIdentical(slow, packed); field != "" {
+							t.Errorf("%s pats=%d cfg=%d runner=%d lanes=%d: %s differs: serial %+v, packed %+v",
+								name, nPats, ci, ri, lanes, field, slow, packed)
+						}
 					}
 				}
 			}
@@ -239,15 +244,15 @@ func randomFuzzCircuit(rng *rand.Rand) *netlist.Circuit {
 	return c
 }
 
-// FuzzMeasureScanPackedEquivalence drives random circuits, pattern sets
-// and shift configurations through both kernels and requires bit-equal
-// reports. `make fuzz-equiv` runs this continuously; the seed corpus runs
-// on every `go test`.
+// FuzzMeasureScanPackedEquivalence drives random circuits, pattern sets,
+// shift configurations and chain counts through both kernels and
+// requires bit-equal reports. `make fuzz-equiv` runs this continuously;
+// the seed corpus runs on every `go test`.
 func FuzzMeasureScanPackedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(0b1010), false)
-	f.Add(int64(2), uint8(1), uint8(0), true)
-	f.Add(int64(99), uint8(70), uint8(0xFF), false)
-	f.Fuzz(func(t *testing.T, seed int64, nPats, muxMask uint8, includeCapture bool) {
+	f.Add(int64(1), uint8(3), uint8(0b1010), uint8(1))
+	f.Add(int64(2), uint8(1), uint8(0), uint8(2))
+	f.Add(int64(99), uint8(70), uint8(0xFF), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nPats, muxMask, nChains uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomFuzzCircuit(rng)
 		np := int(nPats)%80 + 1
@@ -262,23 +267,78 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 		for pi := range cfg.PIHold {
 			cfg.PIHold[pi] = logic.Value(rng.Intn(3))
 		}
-		opts := MeasureOptions{IncludeCapture: includeCapture}
+		var ch scan.Runner = scan.New(c)
+		if k := int(nChains) % 4; k > 1 {
+			cs, err := scan.NewChains(c, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch = cs
+		}
 		lm := leakage.Default()
 		cm := DefaultCapModel()
-		slow, err := measureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		slow, err := measureScanOpts(ch, pats, cfg, lm, cm, MeasureOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, lanes := range sim.LaneWidths() {
-			opts.Lanes = lanes
-			packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
+			packed, err := MeasureScanPackedOpts(ch, pats, cfg, lm, cm, MeasureOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if field := reportsIdentical(slow, packed); field != "" {
-				t.Fatalf("seed=%d np=%d mux=%x cap=%v lanes=%d: %s differs: serial %+v, packed %+v",
-					seed, np, muxMask, includeCapture, lanes, field, slow, packed)
+				t.Fatalf("seed=%d np=%d mux=%x chains=%d lanes=%d: %s differs: serial %+v, packed %+v",
+					seed, np, muxMask, nChains, lanes, field, slow, packed)
 			}
 		}
 	})
+}
+
+// TestMeterReuse: one Meter measuring several structures on its netlist,
+// in any order and on a structurally identical clone, reports exactly
+// what a fresh kernel does, and refuses a different netlist.
+func TestMeterReuse(t *testing.T) {
+	p, _ := iscas.ByName("s344")
+	c, err := iscas.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := leakage.Default()
+	cm := DefaultCapModel()
+	pats := randomPatterns(rand.New(rand.NewSource(8)), c, 9)
+	withMux := scan.Traditional(c)
+	for f := range withMux.Muxed {
+		withMux.Muxed[f] = f%3 == 0
+	}
+	clone := c.Clone()
+	clone.MustFreeze()
+	m, err := NewMeter(c, lm, cm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range []struct {
+		ch  scan.Runner
+		cfg scan.ShiftConfig
+	}{
+		{scan.New(c), scan.Traditional(c)},
+		{scan.New(c), withMux},
+		{scan.New(clone), scan.Traditional(c)},
+		{scan.New(c), withMux},
+	} {
+		fresh, err := MeasureScanPacked(run.ch, pats, run.cfg, lm, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Measure(run.ch, pats, run.cfg, MeasureOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if field := reportsIdentical(fresh, got); field != "" {
+			t.Errorf("run %d: %s differs: fresh %+v, reused %+v", i, field, fresh, got)
+		}
+	}
+	other := buildShiftReg(t)
+	if _, err := m.Measure(scan.New(other), nil, scan.Traditional(other), MeasureOptions{}); err == nil {
+		t.Error("Meter accepted a different netlist")
+	}
 }

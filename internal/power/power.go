@@ -112,16 +112,13 @@ func (r Report) String() string {
 		r.DynamicPerHz, r.StaticUW, r.Cycles)
 }
 
-// MeasureOptions tunes the accounting of the measurement kernels.
+// MeasureOptions tunes the measurement kernels. Both kernels account
+// scan/shift power only, Table I's convention: the capture excursion to
+// the test's own input values is test-application power common to every
+// structure. Captures still update the chain contents, and the boundary
+// transition from the last shift state of one pattern to the first of
+// the next is counted once.
 type MeasureOptions struct {
-	// IncludeCapture also accumulates the capture-cycle state into the
-	// transition and leakage sums. Table I's convention (and the default)
-	// is scan/shift power only: the capture excursion to the test's own
-	// input values is test-application power common to every structure.
-	// Captures still update the chain contents either way, and the
-	// boundary transition from the last shift state of one pattern to the
-	// first of the next is always counted once.
-	IncludeCapture bool
 	// Ctx, when non-nil, is checked between patterns; a done context
 	// aborts the measurement with its error.
 	Ctx context.Context `json:"-"`
@@ -167,10 +164,11 @@ func (o MeasureOptions) stopHook() func() error {
 
 // MeasureScan applies the pattern set through the chain under cfg and
 // accumulates dynamic and static power of the combinational part across
-// the scan shift cycles (the paper's Table I convention; see
-// MeasureOptions to include capture cycles). It re-evaluates the whole
-// circuit one cycle at a time: the slow, obviously correct reference
-// that the production kernel, MeasureScanPacked, is tested against.
+// the scan shift cycles (the paper's Table I convention). It re-evaluates
+// the whole circuit one cycle at a time and counts, per cycle, each
+// gate's input state and each net's transition: the slow, obviously
+// correct reference that the production kernel, MeasureScanPacked, is
+// tested against.
 func MeasureScan(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
 	return measureScanOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
@@ -184,59 +182,70 @@ func measureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConf
 	c := ch.Circuit()
 	s := sim.New(c)
 	loads := cm.NetLoads(c)
-	tc := sim.NewToggleCounter(loads)
-	leakTabs := lm.CircuitTables(c)
-	leakSum := 0.0
-	leakCycles := 0
-	stateCopy := make([]bool, c.NumNets())
-
+	occ := leakage.NewOccupancy(c)
+	toggles := make([]int64, c.NumNets())
+	prev := make([]bool, c.NumNets())
 	peak := 0.0
-	observe := func(pi, ppi []bool) []bool {
-		st := s.Eval(pi, ppi)
-		copy(stateCopy, st)
-		if d := tc.Observe(stateCopy); d > peak {
-			peak = d
-		}
-		leakSum += lm.CircuitLeakBoolTabs(c, stateCopy, leakTabs)
-		leakCycles++
-		return st
-	}
 
 	hooks := scan.Hooks{
-		ShiftCycle: func(pi, ppi []bool) { observe(pi, ppi) },
+		ShiftCycle: func(pi, ppi []bool) {
+			st := s.Eval(pi, ppi)
+			if occ.Cycles() > 0 {
+				delta := 0.0
+				for n, v := range st {
+					if v != prev[n] {
+						toggles[n]++
+						delta += loads[n]
+					}
+				}
+				peak = max(peak, delta)
+			}
+			copy(prev, st)
+			occ.AddState(st)
+		},
 		Capture: opts.patternHook(func(pi, ppi []bool) []bool {
-			var st []bool
-			if opts.IncludeCapture {
-				st = observe(pi, ppi)
-			} else {
-				st = s.Eval(pi, ppi)
-			}
-			next := make([]bool, c.NumFFs())
-			for i, ff := range c.FFs {
-				next[i] = st[ff.D]
-			}
-			return next
+			return s.NextState(s.Eval(pi, ppi))
 		}),
 		Stop: opts.stopHook(),
 	}
 	if err := ch.Run(patterns, cfg, hooks); err != nil {
 		return Report{}, err
 	}
+	return finish(cm, lm, loads, toggles, peak, occ), nil
+}
+
+// finish turns a run's counts into its Report. Both kernels end here, so
+// equal counts and an equal peak give bit-identical Reports: the mean
+// switched capacitance is Σ toggles·load folded in net order, the mean
+// leakage the occupancy folded in (gate, state) order, each divided once
+// by its cycle count. The first observed cycle only primes the toggle
+// comparison, so dynamic figures average over one cycle fewer than the
+// leakage mean.
+func finish(cm CapModel, lm *leakage.Model, loads []float64, toggles []int64, peak float64,
+	occ *leakage.Occupancy) Report {
 
 	var r Report
-	r.Cycles = tc.Cycles()
+	observed := occ.Cycles()
+	if observed == 0 {
+		return r
+	}
+	r.Cycles = int(observed - 1)
 	if r.Cycles > 0 {
+		switched := 0.0
+		var raw int64
+		for n, k := range toggles {
+			switched += float64(k) * loads[n]
+			raw += k
+		}
 		// fF·V² per cycle → J: 1e-15; per-cycle J → µW/Hz: 1e6.
 		toUWHz := cm.VDD * cm.VDD / 2 * 1e-9
-		r.DynamicPerHz = tc.MeanWeightedPerCycle() * toUWHz
+		r.DynamicPerHz = switched / float64(r.Cycles) * toUWHz
 		r.PeakDynamicPerHz = peak * toUWHz
-		r.MeanTogglesPerCycle = float64(tc.RawTotal()) / float64(r.Cycles)
+		r.MeanTogglesPerCycle = float64(raw) / float64(r.Cycles)
 	}
-	if leakCycles > 0 {
-		r.MeanLeakNA = leakSum / float64(leakCycles)
-		r.StaticUW = lm.PowerUW(r.MeanLeakNA)
-	}
-	return r, nil
+	r.MeanLeakNA = lm.OccupancyLeak(occ) / float64(observed)
+	r.StaticUW = lm.PowerUW(r.MeanLeakNA)
+	return r
 }
 
 // Improvement returns the percentage reduction from base to improved

@@ -12,6 +12,7 @@ import (
 type Runner interface {
 	Circuit() *netlist.Circuit
 	Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error
+	RunPacked(patterns []Pattern, cfg ShiftConfig, h PackedHooks) error
 }
 
 var (
@@ -97,14 +98,8 @@ func (cs *Chains) MaxLength() int {
 // cycles per pattern.
 func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	c := cs.c
-	if err := cfg.Validate(c); err != nil {
+	if err := checkRun(c, patterns, cfg); err != nil {
 		return err
-	}
-	for pi, p := range patterns {
-		if len(p.PI) != len(c.PIs) || len(p.State) != c.NumFFs() {
-			return fmt.Errorf("scan: pattern %d sized %d/%d, want %d/%d",
-				pi, len(p.PI), len(p.State), len(c.PIs), c.NumFFs())
-		}
 	}
 	L := cs.MaxLength()
 	// content[k][p] = bit at position p of chain k.

@@ -150,14 +150,8 @@ type Hooks struct {
 // cycle; it performs no power accounting itself.
 func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	c := ch.c
-	if err := cfg.Validate(c); err != nil {
+	if err := checkRun(c, patterns, cfg); err != nil {
 		return err
-	}
-	for pi, p := range patterns {
-		if len(p.PI) != len(c.PIs) || len(p.State) != c.NumFFs() {
-			return fmt.Errorf("scan: pattern %d sized %d/%d, want %d/%d",
-				pi, len(p.PI), len(p.State), len(c.PIs), c.NumFFs())
-		}
 	}
 	L := ch.Length()
 	chain := make([]bool, L) // chain[p] = content at position p

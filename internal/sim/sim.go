@@ -128,76 +128,6 @@ func (s *Simulator) NextState(state []bool) []bool {
 	return out
 }
 
-// ToggleCounter accumulates weighted signal transitions across a sequence
-// of evaluations. The weight of net n — physically the capacitance
-// switched when the driving gate's output toggles — is supplied per net.
-type ToggleCounter struct {
-	weights []float64
-	prev    []bool
-	primed  bool
-	total   float64 // weighted sum of all transitions observed
-	raw     int64   // unweighted transition count
-	cycles  int
-}
-
-// NewToggleCounter creates a counter for states of n nets with the given
-// per-net weights (len(weights) == n).
-func NewToggleCounter(weights []float64) *ToggleCounter {
-	return &ToggleCounter{
-		weights: weights,
-		prev:    make([]bool, len(weights)),
-	}
-}
-
-// Observe records one new per-net state and returns the weighted
-// transition sum of this observation (0 for the priming observation).
-func (t *ToggleCounter) Observe(state []bool) float64 {
-	if len(state) != len(t.prev) {
-		panic("sim: ToggleCounter state length mismatch")
-	}
-	delta := 0.0
-	if t.primed {
-		for i, v := range state {
-			if v != t.prev[i] {
-				delta += t.weights[i]
-				t.raw++
-			}
-		}
-		t.total += delta
-		t.cycles++
-	} else {
-		t.primed = true
-	}
-	copy(t.prev, state)
-	return delta
-}
-
-// WeightedTotal returns the weight-summed transition count.
-func (t *ToggleCounter) WeightedTotal() float64 { return t.total }
-
-// RawTotal returns the unweighted transition count.
-func (t *ToggleCounter) RawTotal() int64 { return t.raw }
-
-// Cycles returns the number of observed state changes (observations - 1).
-func (t *ToggleCounter) Cycles() int { return t.cycles }
-
-// MeanWeightedPerCycle returns WeightedTotal()/Cycles(), or 0 before two
-// observations.
-func (t *ToggleCounter) MeanWeightedPerCycle() float64 {
-	if t.cycles == 0 {
-		return 0
-	}
-	return t.total / float64(t.cycles)
-}
-
-// Reset returns the counter to its unprimed state.
-func (t *ToggleCounter) Reset() {
-	t.primed = false
-	t.total = 0
-	t.raw = 0
-	t.cycles = 0
-}
-
 // RandomVector fills dst with independent fair coin flips from rng.
 func RandomVector(rng *rand.Rand, dst []bool) {
 	for i := range dst {

@@ -180,33 +180,6 @@ func TestEvalPanicsOnBadLength(t *testing.T) {
 	s.Eval([]bool{true}, []bool{false, false, false})
 }
 
-func TestToggleCounter(t *testing.T) {
-	w := []float64{1, 2, 4}
-	tc := NewToggleCounter(w)
-	tc.Observe([]bool{false, false, false}) // primes
-	tc.Observe([]bool{true, false, true})   // nets 0,2 toggle: weight 5
-	tc.Observe([]bool{true, true, true})    // net 1: weight 2
-	if got := tc.WeightedTotal(); got != 7 {
-		t.Errorf("WeightedTotal = %v, want 7", got)
-	}
-	if got := tc.RawTotal(); got != 3 {
-		t.Errorf("RawTotal = %v, want 3", got)
-	}
-	if got := tc.Cycles(); got != 2 {
-		t.Errorf("Cycles = %v, want 2", got)
-	}
-	if got := tc.MeanWeightedPerCycle(); got != 3.5 {
-		t.Errorf("MeanWeightedPerCycle = %v, want 3.5", got)
-	}
-	tc.Reset()
-	if tc.WeightedTotal() != 0 || tc.Cycles() != 0 {
-		t.Error("Reset did not clear counter")
-	}
-	if tc.MeanWeightedPerCycle() != 0 {
-		t.Error("MeanWeightedPerCycle before two observations should be 0")
-	}
-}
-
 func TestEquivalentSelf(t *testing.T) {
 	c := loadS27(t)
 	rng := rand.New(rand.NewSource(3))

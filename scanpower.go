@@ -269,14 +269,27 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 		FaultCoverage: res.Coverage(),
 	}
 	// measure runs the packed kernel on one structure of the named
-	// stage with the experiment's lane width.
+	// stage with the experiment's lane width. Consecutive structures on
+	// the same netlist share one Meter and its compiled program: the
+	// builds clone the circuit and change its structure only when they
+	// reorder gate inputs, so traditional and input control share one.
+	var meter *power.Meter
 	measure := func(stage string, sc *netlist.Circuit, scfg scan.ShiftConfig) (power.Report, error) {
-		m := hooks.measureOptions(ctx, c.Name, stage)
-		m.Lanes = cfg.Lanes
-		return power.MeasureScanPackedOpts(scan.New(sc), res.Patterns, scfg, cfg.Leak, cfg.Cap, m)
+		if meter == nil || !meter.Circuit().SameStructure(sc) {
+			var err error
+			if meter, err = power.NewMeter(sc, cfg.Leak, cfg.Cap, cfg.Lanes); err != nil {
+				return power.Report{}, err
+			}
+		}
+		return meter.Measure(scan.New(sc), res.Patterns, scfg, hooks.measureOptions(ctx, c.Name, stage))
 	}
 	// build runs one structure build of the named stage.
 	build := func(stage string, opts core.Options) (*core.Solution, error) {
+		if opts.ReorderInputs {
+			// The build's netlist will differ: let the Meter go now
+			// rather than hold it through the build's own peak.
+			meter = nil
+		}
 		opts.Observe = hooks.coreObserver(c.Name, stage)
 		if cfg.MC != "" {
 			opts.MC = core.MCBackend(cfg.MC)
