@@ -313,7 +313,11 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		return nil, err
 	}
 	tcfg := scan.Traditional(c)
-	base, err := power.MeasureScanPacked(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap)
+	meter, err := power.NewMeter(c, cfg.Leak, cfg.Cap, 0)
+	if err != nil {
+		return nil, err
+	}
+	base, err := meter.Measure(scan.New(c), res.Patterns, tcfg, power.MeasureOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -322,11 +326,7 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		BasePeakPerHz: base.PeakDynamicPerHz,
 		LimitPerHz:    base.PeakDynamicPerHz * targetFrac,
 	}
-	profile, err := power.ToggleProfile(scan.New(c), res.Patterns, tcfg, cfg.Cap)
-	if err != nil {
-		return nil, err
-	}
-	cands := core.RankTestPointCandidates(c, profile)
+	cands := core.RankTestPointCandidates(c, meter.ToggleProfile())
 	baseCrit := timing.Analyze(c, cfg.Delay).Critical
 
 	try := func(k int) (*core.TestPointPlan, power.Report, error) {

@@ -6,12 +6,12 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestFillPackedAllocsFlat guards the scratch reuse of the packed fill:
-// once the pool is warm, the number of allocations per fillPacked call
-// must not grow with the trial count — per-batch cost buffers and
-// net-state words come from the pooled scratch. A regression that
-// allocates per batch shows up as the large run allocating far more than
-// the small one.
+// TestFillPackedAllocsFlat guards the buffer reuse of the packed fill:
+// each fillPacked call allocates its net-state words, cost buffer and
+// evaluator once and reuses them across batches, so the number of
+// allocations per call must not grow with the trial count. A regression
+// that allocates per batch shows up as the large run allocating far more
+// than the small one.
 func TestFillPackedAllocsFlat(t *testing.T) {
 	c := blockableCircuit()
 	f := newTestFinder(t, c, nil)
@@ -30,11 +30,10 @@ func TestFillPackedAllocsFlat(t *testing.T) {
 			f.fillPacked(unassigned, trials)
 		})
 	}
-	run(64) // warm the scratch pool
 	small := run(256)
 	large := run(4096)
-	// Slack absorbs an occasional mid-measurement GC clearing the pool;
-	// per-batch allocations would exceed it by an order of magnitude.
+	// 4096 trials are 16 batches at the default width; per-batch
+	// allocations would exceed the slack by an order of magnitude.
 	if large > small+16 {
 		t.Errorf("allocs grew with trials: %v at 256, %v at 4096", small, large)
 	}

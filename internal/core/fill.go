@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/logic"
@@ -48,77 +46,21 @@ func (f *finder) fillScalar(unassigned []netlist.NetID, trials int) []logic.Valu
 	return best
 }
 
-// fillScratch is the reusable state of fillPacked for one (circuit, lane
-// width) pair: the compiled dual-rail evaluator, the broadcast base
-// state, per-worker net-state buffers, and per-batch cost buffers. A
-// finished fill returns its scratch to fillPool, so repeated fills on the
-// same circuit (ablations, repeated Builds) allocate nothing batch-sized.
-type fillScratch struct {
-	c     *netlist.Circuit
-	ww    int
-	eval  func(v, x []uint64) // stateless: shared by all workers
-	baseV []uint64
-	baseX []uint64
-	vs    [][]uint64 // per worker
-	xs    [][]uint64
-	cycs  [][]float64 // per batch
-	lanes []int
-	span  []time.Duration
-}
-
-var fillPool sync.Pool
-
-// getFillScratch fetches pooled scratch compatible with (c, ww) or
-// builds a fresh one.
-func getFillScratch(c *netlist.Circuit, ww int) *fillScratch {
-	if s, _ := fillPool.Get().(*fillScratch); s != nil && s.c == c && s.ww == ww {
-		return s
-	}
-	s := &fillScratch{c: c, ww: ww}
-	prog := sim.Compile(c)
-	if ww == 1 {
-		s.eval = sim.NewPacked3Program(prog).EvalNets
-	} else {
-		s.eval = sim.NewWide3Program(prog).EvalNets
-	}
-	nw := c.NumNets() * ww
-	s.baseV = make([]uint64, nw)
-	s.baseX = make([]uint64, nw)
-	return s
-}
-
-// ensure grows the scratch to workers net-state buffers and nBatches
-// cost buffers.
-func (s *fillScratch) ensure(workers, nBatches, laneWidth int) {
-	nw := s.c.NumNets() * s.ww
-	for len(s.vs) < workers {
-		s.vs = append(s.vs, make([]uint64, nw))
-		s.xs = append(s.xs, make([]uint64, nw))
-	}
-	for len(s.cycs) < nBatches {
-		s.cycs = append(s.cycs, make([]float64, laneWidth))
-	}
-	if len(s.lanes) < nBatches {
-		s.lanes = make([]int, nBatches)
-		s.span = make([]time.Duration, nBatches)
-	}
-}
-
 // fillPacked runs the same search many trials at a time on the dual-rail
 // three-valued simulator: each trial is one lane (opts.Lanes per batch,
 // default sim.WideLanes = 256), free pseudo-inputs stay X in every lane,
 // and per-lane costs come from the X-averaged tables in the scalar gate
-// order.
+// order. One pair of net-state buffers and one cost buffer serve every
+// batch of the call.
 //
 // Bit-identity with fillScalar holds at every lane width because (a) the
 // candidate bits are drawn up front in the scalar loop's exact rng order
 // — trial 0 under the observability directive takes the preferred-value
 // vector and draws nothing, (b) the packed dual-rail lanes equal
 // logic.Eval on the same inputs, (c) leakage.AccumLeak3PackedW
-// accumulates each lane in CircuitLeakTabs3's gate order, and (d) the
-// reduction walks trials in ascending order with the scalar first-wins
-// tie-break. Batches are sharded across a worker pool; the reduction is
-// a single goroutine.
+// accumulates each lane in CircuitLeakTabs3's gate order, and (d) each
+// batch is reduced in ascending trial order, before the next one starts,
+// with the scalar first-wins tie-break.
 func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Value {
 	best := make([]logic.Value, len(unassigned))
 	if f.cancelled() {
@@ -136,7 +78,6 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 	lm := f.opts.Leak
 	tabs3 := lm.CircuitTables3(c)
 	nWords := (trials + 63) / 64 // candidate words per input, 64 trials each
-	nBatches := (trials + laneWidth - 1) / laneWidth
 
 	// cand[i*nWords+w] bit t = input i's value in trial w*64+t. Drawn in
 	// the scalar loop's exact rng order, independent of the lane width.
@@ -157,22 +98,18 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 		}
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nBatches {
-		workers = nBatches
+	var eval func(v, x []uint64)
+	if ww == 1 {
+		eval = sim.NewPacked3(c).EvalNets
+	} else {
+		eval = sim.NewWide3(c).EvalNets
 	}
-	scratch := getFillScratch(c, ww)
-	scratch.ensure(workers, nBatches, laneWidth)
-	defer fillPool.Put(scratch)
 
 	// The lane pattern every trial shares: committed controlled inputs
 	// broadcast their binary value, everything else (free pseudo-inputs,
 	// and the unassigned slots about to be overlaid) is X.
-	baseV, baseX := scratch.baseV, scratch.baseX
-	for i := range baseV {
-		baseV[i] = 0
-		baseX[i] = 0
-	}
+	nw := c.NumNets() * ww
+	baseV, baseX := make([]uint64, nw), make([]uint64, nw)
 	for _, n := range c.CombInputs() {
 		grp := int(n) * ww
 		if f.controlled[n] && f.assign[n] != logic.X {
@@ -187,80 +124,41 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 			}
 		}
 	}
+	v, x := make([]uint64, nw), make([]uint64, nw)
+	cyc := make([]float64, laneWidth)
 
-	if f.cancelled() {
-		return best
-	}
-
-	// evalBatch costs batch wi on worker w's net-state buffers.
-	evalBatch := func(w, wi int) {
-		v, x := scratch.vs[w], scratch.xs[w]
-		n := trials - wi*laneWidth
-		if n > laneWidth {
-			n = laneWidth
+	bestLeak := 0.0
+	bestTrial := 0
+	mcb := f.opts.Observe.OnMCBatch
+	for first := 0; first < trials; first += laneWidth {
+		if f.cancelled() {
+			break
 		}
+		n := min(trials-first, laneWidth)
 		t0 := time.Now()
 		copy(v, baseV)
 		copy(x, baseX)
 		for i, net := range unassigned {
 			grp := int(net) * ww
-			nw := nWords - wi*ww
-			if nw > ww {
-				nw = ww
-			}
-			copy(v[grp:grp+nw], cand[i*nWords+wi*ww:])
+			copy(v[grp:grp+ww], cand[i*nWords+first/64:(i+1)*nWords])
 			for k := 0; k < ww; k++ {
 				x[grp+k] = 0
 			}
 		}
-		scratch.eval(v, x)
-		cyc := scratch.cycs[wi]
-		for t := 0; t < n; t++ {
-			cyc[t] = 0
-		}
+		eval(v, x)
+		clear(cyc[:n])
 		lm.AccumLeak3PackedW(c, v, x, ww, n, tabs3, cyc)
-		scratch.lanes[wi] = n
-		scratch.span[wi] = time.Since(t0)
-	}
+		elapsed := time.Since(t0)
 
-	if workers == 1 {
-		for wi := 0; wi < nBatches; wi++ {
-			evalBatch(0, wi)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for wi := range next {
-					evalBatch(w, wi)
-				}
-			}(w)
-		}
-		for wi := 0; wi < nBatches; wi++ {
-			next <- wi
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Reduce in ascending trial order — the scalar tie-break.
-	bestLeak := 0.0
-	bestTrial := 0
-	mcb := f.opts.Observe.OnMCBatch
-	for wi := 0; wi < nBatches; wi++ {
-		cyc := scratch.cycs[wi]
-		for t := 0; t < scratch.lanes[wi]; t++ {
-			trial := wi*laneWidth + t
-			if trial == 0 || cyc[t] < bestLeak {
+		// Reduce in ascending trial order — the scalar tie-break.
+		for t := 0; t < n; t++ {
+			if trial := first + t; trial == 0 || cyc[t] < bestLeak {
 				bestLeak = cyc[t]
 				bestTrial = trial
 			}
 		}
 		if mcb != nil {
-			mcb("fill", scratch.lanes[wi], scratch.span[wi])
+			mcb("fill", n, elapsed)
 		}
 	}
 	for i := range unassigned {

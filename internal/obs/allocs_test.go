@@ -8,11 +8,11 @@ import (
 	"repro/internal/leakage"
 )
 
-// TestEstimatePackedAllocsFlat guards the scratch reuse of the packed
-// estimator: once the pool is warm, the number of allocations per call
-// must not grow with the sample count — batches run entirely in pooled
-// buffers. A regression that allocates per batch (or per window) shows up
-// as the large run allocating far more than the small one.
+// TestEstimatePackedAllocsFlat guards the buffer reuse of the packed
+// estimator: each call allocates its lane buffers and evaluator once and
+// reuses them across batches, so the number of allocations per call must
+// not grow with the sample count. A regression that allocates per batch
+// shows up as the large run allocating far more than the small one.
 func TestEstimatePackedAllocsFlat(t *testing.T) {
 	c := testCircuit(t)
 	lm := leakage.Default()
@@ -20,16 +20,15 @@ func TestEstimatePackedAllocsFlat(t *testing.T) {
 	run := func(samples int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			if _, err := EstimatePacked(context.Background(), c, lm, samples, rng,
-				PackedOpts{Workers: 1}); err != nil {
+				PackedOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	run(64) // warm the scratch pool
 	small := run(256)
 	large := run(4096)
-	// Slack absorbs an occasional mid-measurement GC clearing the pool;
-	// per-batch allocations would exceed it by an order of magnitude.
+	// 4096 samples are 16 batches at the default width; per-batch
+	// allocations would exceed the slack by an order of magnitude.
 	if large > small+16 {
 		t.Errorf("allocs grew with samples: %v at 256, %v at 4096", small, large)
 	}

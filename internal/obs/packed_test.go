@@ -54,36 +54,34 @@ func testCircuit(t testing.TB) *netlist.Circuit {
 }
 
 // TestMCPackedObsEquivalence: the packed estimator must reproduce the
-// scalar kernel bit for bit — across batch-boundary sample counts, worker
-// counts, and the s27 real circuit — and leave the rng in the same state.
+// scalar kernel bit for bit — across batch-boundary sample counts, lane
+// widths, and the s27 real circuit — and leave the rng in the same state.
 func TestMCPackedObsEquivalence(t *testing.T) {
 	lm := leakage.Default()
 	circuits := []*netlist.Circuit{testCircuit(t), iscas.S27()}
 	for _, c := range circuits {
 		for _, samples := range []int{1, 63, 64, 65, 100, 500} {
-			for _, workers := range []int{1, 3} {
-				for _, lanes := range sim.LaneWidths() {
-					r1 := rand.New(rand.NewSource(42))
-					r2 := rand.New(rand.NewSource(42))
-					ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := EstimatePacked(context.Background(), c, lm, samples, r2,
-						PackedOpts{Workers: workers, Lanes: lanes})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if field := obsIdentical(ref, got); field != "" {
-						t.Fatalf("%s samples=%d workers=%d lanes=%d: %s differs",
-							c.Name, samples, workers, lanes, field)
-					}
-					// Seed stability beyond this call: the packed kernel must
-					// consume exactly the scalar kernel's random stream.
-					if a, b := r1.Int63(), r2.Int63(); a != b {
-						t.Fatalf("%s samples=%d lanes=%d: rng state diverged (%d vs %d)",
-							c.Name, samples, lanes, a, b)
-					}
+			for _, lanes := range sim.LaneWidths() {
+				r1 := rand.New(rand.NewSource(42))
+				r2 := rand.New(rand.NewSource(42))
+				ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := EstimatePacked(context.Background(), c, lm, samples, r2,
+					PackedOpts{Lanes: lanes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if field := obsIdentical(ref, got); field != "" {
+					t.Fatalf("%s samples=%d lanes=%d: %s differs",
+						c.Name, samples, lanes, field)
+				}
+				// Seed stability beyond this call: the packed kernel must
+				// consume exactly the scalar kernel's random stream.
+				if a, b := r1.Int63(), r2.Int63(); a != b {
+					t.Fatalf("%s samples=%d lanes=%d: rng state diverged (%d vs %d)",
+						c.Name, samples, lanes, a, b)
 				}
 			}
 		}
@@ -148,7 +146,6 @@ func TestEstimateDeadline(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	calls = 0
 	_, err = EstimatePacked(ctx2, c, lm, 1<<20, rand.New(rand.NewSource(1)), PackedOpts{
-		Workers:   2,
 		OnSamples: func(int) { calls++; cancel2() },
 	})
 	if err != context.Canceled {

@@ -132,6 +132,18 @@ func (m *Meter) Measure(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftC
 	return finish(m.cm, m.lm, m.loads, m.toggles, peak, m.states.Resolve()), nil
 }
 
+// ToggleProfile returns, per net, the switched capacitance the last
+// Measure accumulated (toggle count × load, fF) — the ranking signal
+// peak-power test-point insertion uses to decide where forcing a constant
+// buys the most.
+func (m *Meter) ToggleProfile() []float64 {
+	profile := make([]float64, len(m.toggles))
+	for n, k := range m.toggles {
+		profile[n] = float64(k) * m.loads[n]
+	}
+	return profile
+}
+
 // countToggles adds each net's transitions over the n lanes of a batch to
 // the per-net toggle counts and returns the batch's largest per-cycle
 // switched capacitance. A lane's transition compares it with the lane

@@ -3,7 +3,6 @@ package scan
 import (
 	"fmt"
 
-	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -29,8 +28,6 @@ type Chains struct {
 	// Groups[k][p] is the flop index at position p of chain k (position 0
 	// nearest that chain's scan input).
 	Groups [][]int
-	chain  []int // per flop: owning chain
-	pos    []int // per flop: position in its chain
 }
 
 // NewChains partitions the flops round-robin into n balanced chains.
@@ -52,26 +49,21 @@ func NewChains(c *netlist.Circuit, n int) (*Chains, error) {
 // NewChainsWithGroups builds chains from an explicit partition; every
 // flop must appear exactly once across the groups.
 func NewChainsWithGroups(c *netlist.Circuit, groups [][]int) (*Chains, error) {
-	chain := make([]int, c.NumFFs())
-	pos := make([]int, c.NumFFs())
-	for i := range chain {
-		chain[i] = -1
-	}
-	for k, g := range groups {
-		for p, f := range g {
-			if f < 0 || f >= c.NumFFs() || chain[f] != -1 {
+	seen := make([]bool, c.NumFFs())
+	for _, g := range groups {
+		for _, f := range g {
+			if f < 0 || f >= c.NumFFs() || seen[f] {
 				return nil, fmt.Errorf("scan: groups are not a partition (flop %d)", f)
 			}
-			chain[f] = k
-			pos[f] = p
+			seen[f] = true
 		}
 	}
-	for f, k := range chain {
-		if k == -1 {
+	for f, ok := range seen {
+		if !ok {
 			return nil, fmt.Errorf("scan: flop %d missing from every chain", f)
 		}
 	}
-	return &Chains{c: c, Groups: groups, chain: chain, pos: pos}, nil
+	return &Chains{c: c, Groups: groups}, nil
 }
 
 // Circuit returns the underlying circuit.
@@ -97,96 +89,5 @@ func (cs *Chains) MaxLength() int {
 // capture per pattern, final zero-fill flush), with MaxLength() shift
 // cycles per pattern.
 func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
-	c := cs.c
-	if err := checkRun(c, patterns, cfg); err != nil {
-		return err
-	}
-	L := cs.MaxLength()
-	// content[k][p] = bit at position p of chain k.
-	content := make([][]bool, cs.NumChains())
-	for k := range content {
-		content[k] = make([]bool, len(cs.Groups[k]))
-	}
-	piVals := make([]bool, len(c.PIs))
-	ppiVals := make([]bool, c.NumFFs())
-
-	emit := func(patPI []bool) {
-		if hooks.ShiftCycle == nil {
-			return
-		}
-		for i := range piVals {
-			switch cfg.PIHold[i] {
-			case logic.Zero:
-				piVals[i] = false
-			case logic.One:
-				piVals[i] = true
-			default:
-				piVals[i] = patPI[i]
-			}
-		}
-		for f := 0; f < c.NumFFs(); f++ {
-			if cfg.Muxed[f] {
-				ppiVals[f] = cfg.MuxVal[f]
-			} else {
-				ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
-			}
-		}
-		hooks.ShiftCycle(piVals, ppiVals)
-	}
-	shiftOne := func(inBits []bool) {
-		for k := range content {
-			ck := content[k]
-			for p := len(ck) - 1; p > 0; p-- {
-				ck[p] = ck[p-1]
-			}
-			if len(ck) > 0 {
-				ck[0] = inBits[k]
-			}
-		}
-	}
-	inBits := make([]bool, cs.NumChains())
-	for _, pat := range patterns {
-		if hooks.Stop != nil {
-			if err := hooks.Stop(); err != nil {
-				return err
-			}
-		}
-		for t := 0; t < L; t++ {
-			for k, g := range cs.Groups {
-				lk := len(g)
-				lead := L - lk // padding cycles before chain k's data starts
-				if t < lead {
-					inBits[k] = false
-				} else {
-					inBits[k] = pat.State[g[lk-1-(t-lead)]]
-				}
-			}
-			shiftOne(inBits)
-			emit(pat.PI)
-		}
-		if hooks.Capture != nil {
-			for f := 0; f < c.NumFFs(); f++ {
-				ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
-			}
-			resp := hooks.Capture(pat.PI, ppiVals)
-			if len(resp) != c.NumFFs() {
-				return fmt.Errorf("scan: capture hook returned %d bits for %d flops",
-					len(resp), c.NumFFs())
-			}
-			for f, v := range resp {
-				content[cs.chain[f]][cs.pos[f]] = v
-			}
-		}
-	}
-	if len(patterns) > 0 {
-		lastPI := patterns[len(patterns)-1].PI
-		for k := range inBits {
-			inBits[k] = false
-		}
-		for t := 0; t < L; t++ {
-			shiftOne(inBits)
-			emit(lastPI)
-		}
-	}
-	return nil
+	return run(cs.c, cs.Groups, patterns, cfg, hooks)
 }

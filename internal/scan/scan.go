@@ -149,14 +149,35 @@ type Hooks struct {
 // Run reports, via hooks, exactly what the combinational logic sees each
 // cycle; it performs no power accounting itself.
 func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
-	c := ch.c
+	return run(ch.c, [][]int{ch.Order}, patterns, cfg, hooks)
+}
+
+// run is the shared bool scan loop over chains groups (groups[k][p] is
+// the flop at position p of chain k). All chains shift simultaneously for
+// L cycles per pattern, L the longest chain; a shorter chain receives
+// leading zero pad bits, so every chain finishes loading on the same
+// cycle.
+func run(c *netlist.Circuit, groups [][]int, patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	if err := checkRun(c, patterns, cfg); err != nil {
 		return err
 	}
-	L := ch.Length()
-	chain := make([]bool, L) // chain[p] = content at position p
+	nFF := c.NumFFs()
+	L := 0
+	// content[k][p] = bit at position p of chain k; flop f lives at
+	// content[chain[f]][pos[f]].
+	content := make([][]bool, len(groups))
+	chain := make([]int, nFF)
+	pos := make([]int, nFF)
+	for k, g := range groups {
+		L = max(L, len(g))
+		content[k] = make([]bool, len(g))
+		for p, f := range g {
+			chain[f], pos[f] = k, p
+		}
+	}
 	piVals := make([]bool, len(c.PIs))
-	ppiVals := make([]bool, c.NumFFs())
+	ppiVals := make([]bool, nFF)
+	inBits := make([]bool, len(groups))
 
 	emit := func(patPI []bool) {
 		if hooks.ShiftCycle == nil {
@@ -172,22 +193,23 @@ func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 				piVals[i] = patPI[i]
 			}
 		}
-		for f := 0; f < c.NumFFs(); f++ {
+		for f := 0; f < nFF; f++ {
 			if cfg.Muxed[f] {
 				ppiVals[f] = cfg.MuxVal[f]
 			} else {
-				ppiVals[f] = chain[ch.pos[f]]
+				ppiVals[f] = content[chain[f]][pos[f]]
 			}
 		}
 		hooks.ShiftCycle(piVals, ppiVals)
 	}
-
-	shiftOne := func(inBit bool) {
-		for p := L - 1; p > 0; p-- {
-			chain[p] = chain[p-1]
-		}
-		if L > 0 {
-			chain[0] = inBit
+	shiftOne := func() {
+		for k, ck := range content {
+			for p := len(ck) - 1; p > 0; p-- {
+				ck[p] = ck[p-1]
+			}
+			if len(ck) > 0 {
+				ck[0] = inBits[k]
+			}
 		}
 	}
 
@@ -198,44 +220,43 @@ func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 			}
 		}
 		// Shift in the new state (old content — previous response —
-		// shifts out). The bit destined for the flop at chain position
-		// L-1-t enters at shift t.
+		// shifts out). Chain k's bit for position lk-1-q enters at shift
+		// lead+q, after lead = L-lk pad bits.
 		for t := 0; t < L; t++ {
-			shiftOne(pat.State[ch.Order[L-1-t]])
+			for k, g := range groups {
+				lk := len(g)
+				if lead := L - lk; t < lead {
+					inBits[k] = false
+				} else {
+					inBits[k] = pat.State[g[lk-1-(t-lead)]]
+				}
+			}
+			shiftOne()
 			emit(pat.PI)
 		}
-		// Capture.
 		if hooks.Capture != nil {
-			for f := 0; f < c.NumFFs(); f++ {
-				ppiVals[f] = chain[ch.pos[f]]
+			for f := 0; f < nFF; f++ {
+				ppiVals[f] = content[chain[f]][pos[f]]
 			}
 			resp := hooks.Capture(pat.PI, ppiVals)
-			if len(resp) != c.NumFFs() {
+			if len(resp) != nFF {
 				return fmt.Errorf("scan: capture hook returned %d bits for %d flops",
-					len(resp), c.NumFFs())
+					len(resp), nFF)
 			}
 			for f, v := range resp {
-				chain[ch.pos[f]] = v
+				content[chain[f]][pos[f]] = v
 			}
 		}
 	}
 	// Flush the last response; the tester keeps the last pattern's PI
-	// values applied while zeros fill the chain.
+	// values applied while zeros fill the chains.
 	if len(patterns) > 0 {
 		lastPI := patterns[len(patterns)-1].PI
+		clear(inBits)
 		for t := 0; t < L; t++ {
-			shiftOne(false)
+			shiftOne()
 			emit(lastPI)
 		}
 	}
 	return nil
-}
-
-// LoadedState returns what each flop holds after shifting in pattern p:
-// by construction, exactly p.State. Exposed for tests documenting the
-// stream-order convention.
-func (ch *Chain) LoadedState(p Pattern) []bool {
-	out := make([]bool, ch.Length())
-	copy(out, p.State)
-	return out
 }

@@ -227,65 +227,3 @@ func TestEquivalentNameMismatch(t *testing.T) {
 		t.Fatal("Equivalent accepted mismatched PI names")
 	}
 }
-
-// TestEventSimMatchesFullEval drives random input sequences through the
-// event-driven simulator and checks, each cycle, that its persistent
-// state equals a from-scratch full evaluation and that the changed list
-// is exactly the symmetric difference.
-func TestEventSimMatchesFullEval(t *testing.T) {
-	c := loadS27(t)
-	es := NewEvent(c)
-	full := New(c)
-	rng := rand.New(rand.NewSource(21))
-	pi := make([]bool, len(c.PIs))
-	ppi := make([]bool, c.NumFFs())
-	prev := make([]bool, c.NumNets())
-	for cycle := 0; cycle < 300; cycle++ {
-		// Mostly small input deltas, to exercise the selective trace.
-		if cycle == 0 || rng.Intn(10) == 0 {
-			RandomVector(rng, pi)
-			RandomVector(rng, ppi)
-		} else if rng.Intn(2) == 0 {
-			pi[rng.Intn(len(pi))] = !pi[rng.Intn(len(pi))]
-		} else {
-			ppi[rng.Intn(len(ppi))] = !ppi[rng.Intn(len(ppi))]
-		}
-		changed := es.Apply(pi, ppi)
-		want := full.Eval(pi, ppi)
-		for n := range want {
-			if es.Values()[n] != want[n] {
-				t.Fatalf("cycle %d: net %s: event %v, full %v",
-					cycle, c.Nets[n].Name, es.Values()[n], want[n])
-			}
-		}
-		if cycle > 0 {
-			seen := make(map[netlist.NetID]bool, len(changed))
-			for _, n := range changed {
-				if seen[n] {
-					t.Fatalf("cycle %d: net %s reported changed twice", cycle, c.Nets[n].Name)
-				}
-				seen[n] = true
-				if want[n] == prev[n] {
-					t.Fatalf("cycle %d: net %s reported changed but is stable", cycle, c.Nets[n].Name)
-				}
-			}
-			for n := range want {
-				if want[n] != prev[n] && !seen[netlist.NetID(n)] {
-					t.Fatalf("cycle %d: net %s changed but was not reported", cycle, c.Nets[n].Name)
-				}
-			}
-		}
-		copy(prev, want)
-	}
-}
-
-func TestEventSimPanics(t *testing.T) {
-	c := loadS27(t)
-	es := NewEvent(c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad input length accepted")
-		}
-	}()
-	es.Apply([]bool{true}, nil)
-}
