@@ -32,7 +32,6 @@ func main() {
 	fill := flag.String("fill", "random", "don't-care fill for deterministic patterns: random, 0, 1, adjacent")
 	fillChains := flag.Int("fill-chains", 1, "scan-chain count adjacent fill follows (round-robin partition, matching the measurement chains)")
 	nDetect := flag.Int("ndetect", 1, "require each fault be detected by at least N patterns")
-	atpgWorkers := cliflags.ATPGWorkers(flag.CommandLine)
 	lanes := cliflags.Lanes(flag.CommandLine)
 	flag.Parse()
 
@@ -59,10 +58,6 @@ func main() {
 	opts.Compact = !*noCompact
 	opts.NDetect = *nDetect
 	opts.FillChains = *fillChains
-	if opts.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
-		fmt.Fprintln(os.Stderr, "atpggen:", err)
-		os.Exit(2)
-	}
 	if opts.Lanes, err = cliflags.ValidateLanes(*lanes); err != nil {
 		fmt.Fprintln(os.Stderr, "atpggen:", err)
 		os.Exit(2)

@@ -155,13 +155,13 @@ type runDoc struct {
 func main() {
 	fs := flag.CommandLine
 	servers := fs.String("servers", "", "comma-separated scanpowerd base URLs (required)")
-	duration := cliflags.Timeout(fs, "duration", 30*time.Second, "how long to drive traffic")
-	concurrency := cliflags.Workers(fs, "concurrency", 8, "concurrent submitters")
+	duration := fs.Duration("duration", 30*time.Second, "how long to drive traffic")
+	concurrency := fs.Int("concurrency", 8, "concurrent submitters")
 	hot := fs.Float64("hot", 0.4, "fraction of submits repeating the fixed hot set")
 	cancelFrac := fs.Float64("cancel", 0.05, "fraction of submits canceled right after admission")
 	coldCopies := fs.Int("cold-copies", 4, "s27 instances per cold circuit (scales per-job Engine work)")
 	hotSet := fs.Int("hot-set", 4, "distinct circuits in the hot set")
-	timeout := cliflags.Timeout(fs, "timeout", time.Minute, "per-job deadline sent with each submit")
+	timeout := fs.Duration("timeout", time.Minute, "per-job deadline sent with each submit")
 	label := fs.String("label", "", "label recorded in the output document")
 	out := fs.String("out", "", "write the JSON document to this file (default stdout)")
 	seed := fs.Int64("seed", 1, "traffic-mix RNG seed")

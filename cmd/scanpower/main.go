@@ -69,12 +69,11 @@ func main() {
 	extensions := fs.Bool("extensions", false, "also run the enhanced-scan and reordering extension studies")
 	vcdPath := fs.String("vcd", "", "dump the proposed structure's scan-mode waveforms to this VCD file")
 	patFile := fs.String("patterns", "", "replay patterns from this vectors file instead of running ATPG (power section only)")
-	timeout := cliflags.Timeout(fs, "timeout", 0, "abort the run after this duration (0 = no limit)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write the run manifest JSON to this file")
 	lanes := cliflags.Lanes(fs)
-	atpgWorkers := cliflags.ATPGWorkers(fs)
 	server := fs.String("server", "", "submit to these scanpowerd base URLs (comma-separated) instead of computing in-process")
 	flag.Parse()
 
@@ -159,10 +158,6 @@ func main() {
 
 	cfg, err := cliflags.Config(*lanes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scanpower:", err)
-		os.Exit(2)
-	}
-	if cfg.ATPG.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "scanpower:", err)
 		os.Exit(2)
 	}

@@ -74,22 +74,21 @@ import (
 func main() {
 	fs := flag.CommandLine
 	listen := fs.String("listen", "127.0.0.1:8344", "address to serve the API on")
-	workers := cliflags.Workers(fs, "workers", runtime.NumCPU(), "concurrent job executors")
+	workers := fs.Int("workers", runtime.NumCPU(), "concurrent job executors")
 	queue := fs.Int("queue", 16, "jobs allowed to wait beyond the running ones")
-	jobTimeout := cliflags.Timeout(fs, "job-timeout", 0, "default per-job deadline for requests without timeout_ms (0 = none)")
-	maxJobTimeout := cliflags.Timeout(fs, "max-job-timeout", 10*time.Minute, "cap on client-requested deadlines (0 = no cap)")
+	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline for requests without timeout_ms (0 = none)")
+	maxJobTimeout := fs.Duration("max-job-timeout", 10*time.Minute, "cap on client-requested deadlines (0 = no cap)")
 	lanes := cliflags.Lanes(fs)
-	atpgWorkers := cliflags.ATPGWorkers(fs)
 	self := fs.String("self", "", "this node's externally reachable base URL (e.g. http://10.0.0.1:8344); required with -peers")
 	node := fs.String("node", "", "this node's display name on trace spans and log lines (default -self, then \"local\")")
 	cluster := cliflags.ClusterFlags(fs)
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write a run manifest JSON to this file on shutdown")
-	drainTimeout := cliflags.Timeout(fs, "drain-timeout", 30*time.Second, "how long shutdown waits for live jobs before cancelling them")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for live jobs before cancelling them")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
 
-	if err := run(*listen, *workers, *queue, *atpgWorkers, *lanes, *jobTimeout, *maxJobTimeout,
+	if err := run(*listen, *workers, *queue, *lanes, *jobTimeout, *maxJobTimeout,
 		*self, *node, cluster, *tracePath, *manifestPath, *drainTimeout,
 		*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "scanpowerd:", err)
@@ -108,15 +107,11 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
 }
 
-func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJobTimeout time.Duration,
+func run(listen string, workers, queue, lanes int, jobTimeout, maxJobTimeout time.Duration,
 	self, node string, cluster *cliflags.Cluster, tracePath, manifestPath string,
 	drainTimeout time.Duration, logLevel string) error {
 
 	logger, err := newLogger(logLevel)
-	if err != nil {
-		return err
-	}
-	atpgWorkers, err = cliflags.ValidateATPGWorkers(atpgWorkers)
 	if err != nil {
 		return err
 	}
@@ -155,7 +150,6 @@ func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJ
 
 	cfg := scanpower.DefaultConfig()
 	cfg.Lanes = lanes
-	cfg.ATPG.Workers = atpgWorkers
 	svc := service.New(service.Options{
 		Cfg:            cfg,
 		Workers:        workers,

@@ -41,14 +41,13 @@ func main() {
 	fs := flag.CommandLine
 	circuits := fs.String("circuits", "", "comma-separated circuit names (default: all twelve)")
 	markdown := fs.Bool("markdown", false, "emit a Markdown table (for EXPERIMENTS.md)")
-	workers := cliflags.Workers(fs, "j", runtime.NumCPU(), "circuits to process in parallel (worker pool size)")
-	timeout := cliflags.Timeout(fs, "timeout", 0, "abort the whole run after this duration (0 = no limit)")
+	workers := fs.Int("j", runtime.NumCPU(), "circuits to process in parallel (worker pool size)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	progress := fs.Bool("progress", false, "stream per-stage progress to stderr")
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write the run manifest JSON to this file")
 	lanes := cliflags.Lanes(fs)
-	atpgWorkers := cliflags.ATPGWorkers(fs)
 	flag.Parse()
 
 	names := scanpower.BenchmarkNames()
@@ -90,10 +89,6 @@ func main() {
 
 	cfg, err := cliflags.Config(*lanes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tableone:", err)
-		os.Exit(2)
-	}
-	if cfg.ATPG.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "tableone:", err)
 		os.Exit(2)
 	}

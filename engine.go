@@ -73,10 +73,6 @@ const (
 	// stage: Name is "drop" (deterministic-phase buffer flush) or
 	// "compact" (static compaction), Lanes the pattern lanes simulated.
 	EventFaultSimBatch
-	// EventPodemChunk is one chunk of the fault-parallel PODEM scheduler
-	// (Config.ATPG.Workers > 1 only): Count faults from residual-queue
-	// offset Index. Emitted concurrently from worker goroutines.
-	EventPodemChunk
 )
 
 // Event is one observation of a run, shaped like a trace span: which
@@ -107,8 +103,8 @@ type Event struct {
 // works: every stage boundary, sub-stage, kernel batch, PODEM fault and
 // justification arrives as one Event. A nil Hooks observes nothing and
 // costs nothing. Hooks must be safe for concurrent use when the Engine
-// runs more than one worker (or ATPG more than one PODEM worker), and
-// cheap: the fine-grained kinds fire per fault and per pattern.
+// runs more than one worker, and cheap: the fine-grained kinds fire per
+// fault and per pattern.
 type Hooks func(Event)
 
 func (h Hooks) emit(ev Event) {
@@ -158,10 +154,6 @@ func (h Hooks) atpgObserver(circuit string) atpg.Observer {
 		OnFaultSimBatch: func(kind string, lanes int, elapsed time.Duration) {
 			h(Event{Kind: EventFaultSimBatch, Circuit: circuit, Stage: StageATPG,
 				Name: kind, Elapsed: elapsed, Lanes: lanes})
-		},
-		OnPodemChunk: func(start, n int, elapsed time.Duration) {
-			h(Event{Kind: EventPodemChunk, Circuit: circuit, Stage: StageATPG,
-				Elapsed: elapsed, Count: n, Index: start})
 		},
 	}
 }
@@ -236,17 +228,15 @@ func directPatterns(cfg Config, hooks Hooks) patternSource {
 
 // patternKey identifies one memoized ATPG run: the frozen circuit's
 // structural fingerprint plus the exact generation options (which the
-// large-circuit scaling may vary per circuit). Options.Workers and
-// Options.Lanes are normalized out of the key — they change wall time
-// only, never a result bit, so runs that differ only in worker count or
-// packed batch width share one entry.
+// large-circuit scaling may vary per circuit). Options.Lanes is
+// normalized out of the key — it changes wall time only, never a result
+// bit, so runs that differ only in packed batch width share one entry.
 type patternKey struct {
 	fp   uint64
 	opts atpg.Options
 }
 
 func newPatternKey(fp uint64, opts atpg.Options) patternKey {
-	opts.Workers = 0
 	opts.Lanes = 0
 	return patternKey{fp: fp, opts: opts}
 }

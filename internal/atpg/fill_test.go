@@ -52,10 +52,7 @@ func TestExtractPatternAdjacentChainOrder(t *testing.T) {
 	// Two round-robin chains: chain0 = [0 2 4], chain1 = [1 3 5].
 	// chain0: first specified is f2=1 -> f0 backfills 1, f4 carries 1.
 	// chain1: first specified is f1=0 -> f3 carries 0, f5 flips to 1.
-	plan2, err := newFillPlan(c, Options{FillChains: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan2 := newFillPlan(c, Options{FillChains: 2})
 	pat := extractPattern(c, assign, rng, FillAdjacent, plan2)
 	wantPI := []bool{true, true}
 	wantState := []bool{true, false, true, false, true, true}
@@ -73,10 +70,7 @@ func TestExtractPatternAdjacentChainOrder(t *testing.T) {
 	// Single chain [0..5]: first specified is f1=0, so f0 backfills 0 and
 	// the carry runs f2=1 onward — a different pattern, which is exactly
 	// what the pre-fix index-order fill got wrong on multi-chain configs.
-	plan1, err := newFillPlan(c, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan1 := newFillPlan(c, Options{})
 	pat1 := extractPattern(c, assign, rng, FillAdjacent, plan1)
 	wantState1 := []bool{false, false, true, true, true, true}
 	for f, w := range wantState1 {
@@ -95,10 +89,7 @@ func TestExtractPatternAdjacentUnspecifiedChain(t *testing.T) {
 		logic.Zero, logic.X,
 		logic.One, logic.X, logic.One, logic.X, // f0,f2 on chain0; chain1 all X
 	}
-	plan, err := newFillPlan(c, Options{FillChains: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := newFillPlan(c, Options{FillChains: 2})
 	pat := extractPattern(c, assign, rng, FillAdjacent, plan)
 	// chain1 = [1 3], fully unspecified -> constant false.
 	if pat.State[1] || pat.State[3] {

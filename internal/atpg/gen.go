@@ -31,10 +31,10 @@ const (
 	FillOne
 	// FillAdjacent repeats the last specified value along the scan order
 	// (minimum-transition fill). Adjacency is chain adjacency: each chain
-	// of the configured partition (Options.FillChains, or the explicit
-	// groups of GenerateChains) is filled independently in chain-position
-	// order, and cells before a chain's first specified bit take that
-	// bit's value, so no spurious transition enters from the padding.
+	// of the Options.FillChains partition is filled independently in
+	// chain-position order, and cells before a chain's first specified bit
+	// take that bit's value, so no spurious transition enters from the
+	// padding.
 	FillAdjacent
 )
 
@@ -46,8 +46,7 @@ type Options struct {
 	Fill FillMode
 	// FillChains tells FillAdjacent how the flops are partitioned into
 	// scan chains: the round-robin partition scan.NewChains(c, n) builds
-	// (0 or 1 = a single chain in flop-index order). For an arbitrary
-	// partition use GenerateChains, which takes the groups explicitly.
+	// (0 or 1 = a single chain in flop-index order).
 	FillChains int
 	// MaxBacktracks bounds each PODEM run (default 64).
 	MaxBacktracks int
@@ -69,12 +68,6 @@ type Options struct {
 	// UseSCOAP steers PODEM's backtrace with SCOAP controllability
 	// (default on in DefaultOptions).
 	UseSCOAP bool
-	// Workers sets the fault-parallel PODEM worker count for the
-	// deterministic phase (0 or 1 = serial). The result is bit-identical
-	// for every value: workers only run the rng-free PODEM searches
-	// speculatively, while patterns are committed, filled, and credited
-	// on one goroutine in canonical fault order.
-	Workers int
 	// Seed drives random fill and the random phase; runs are fully
 	// deterministic for a given seed.
 	Seed int64
@@ -144,39 +137,18 @@ func (r *Result) Coverage() float64 {
 
 // Generate produces a stuck-at test set for the frozen circuit c.
 func Generate(c *netlist.Circuit, opts Options) (*Result, error) {
-	return GenerateContext(context.Background(), c, opts)
+	return GenerateObserved(context.Background(), c, opts, Observer{})
 }
 
-// GenerateContext is Generate with cancellation: the random-pattern phase
-// checks ctx between 64-lane batches and the deterministic phase between
-// PODEM fault targets, so an oversized run can be aborted promptly. The
-// returned error is ctx.Err() when the context ends the run.
-func GenerateContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Result, error) {
-	return GenerateObserved(ctx, c, opts, Observer{})
-}
-
-// GenerateChains is GenerateContext for an explicit multi-chain scan
-// configuration: groups[k][p] is the flop index at position p of chain k
-// (the layout of scan.Chains.Groups), and FillAdjacent fills along each
-// chain's true shift order. Options.FillChains is ignored when groups is
-// non-nil. Patterns, coverage, and bookkeeping are otherwise identical to
-// GenerateContext — the chain partition only steers don't-care fill.
-func GenerateChains(ctx context.Context, c *netlist.Circuit, opts Options, groups [][]int) (*Result, error) {
-	return GenerateObservedChains(ctx, c, opts, groups, Observer{})
-}
-
-// GenerateObserved is GenerateContext with a telemetry Observer: per-fault
-// PODEM outcomes, random-phase batches, packed fault-simulation flushes,
-// and phase wall times flow to ob's callbacks as they happen. A zero
-// Observer adds no work and no allocations to the generation hot paths.
+// GenerateObserved is Generate with cancellation and a telemetry
+// Observer. The random-pattern phase checks ctx between 64-lane batches
+// and the deterministic phase between PODEM fault targets, so an
+// oversized run can be aborted promptly; the returned error is ctx.Err()
+// when the context ends the run. Per-fault PODEM outcomes, random-phase
+// batches, packed fault-simulation flushes, and phase wall times flow to
+// ob's callbacks as they happen. A zero Observer adds no work and no
+// allocations to the generation hot paths.
 func GenerateObserved(ctx context.Context, c *netlist.Circuit, opts Options, ob Observer) (*Result, error) {
-	return GenerateObservedChains(ctx, c, opts, nil, ob)
-}
-
-// GenerateObservedChains is the full-surface entry point: observer plus
-// an optional explicit chain partition for FillAdjacent (nil derives the
-// round-robin partition from Options.FillChains).
-func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Options, groups [][]int, ob Observer) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -199,10 +171,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("atpg: %w", err)
 	}
-	plan, err := newFillPlan(c, opts, groups)
-	if err != nil {
-		return nil, err
-	}
+	plan := newFillPlan(c, opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	faults := AllFaults(c)
 	detected := make([]bool, len(faults))
@@ -220,7 +189,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	// resets it, and the batch is cut at the pattern where the threshold
 	// trips.
 	stopRandom := ob.phaseTimer("random")
-	fs64 := NewFaultSim64(c)
+	fs64 := NewFaultSimW(c, 64)
 	stall := 0
 	batch := make([]scan.Pattern, 0, 64)
 	type randHit struct {
@@ -252,7 +221,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			if detCount[i] >= opts.NDetect {
 				continue
 			}
-			mask := fs64.DetectMask(f)
+			mask := fs64.DetectMask(f)[0]
 			if mask == 0 {
 				continue
 			}
@@ -315,10 +284,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	// batched: deterministic patterns accumulate in a ≤64-slot buffer and
 	// one packed DetectAllMask pass credits them against every residual
 	// fault when the buffer fills (or the phase ends), replacing the
-	// serial per-pattern sweep. With Workers > 1 the PODEM searches
-	// themselves run speculatively on a fault-parallel scheduler; every
-	// credit, fill, and rng draw stays on this goroutine in canonical
-	// fault order, so the result is bit-identical to the serial schedule.
+	// serial per-pattern sweep.
 	res := &Result{Faults: faults, Detected: detected, DetCounts: detCount}
 	var scoap *testability.Analysis
 	if opts.UseSCOAP {
@@ -326,19 +292,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	}
 	stopPodem := ob.phaseTimer("podem")
 
-	var residual []int
-	for i := range faults {
-		if detCount[i] < opts.NDetect {
-			residual = append(residual, i)
-		}
-	}
-	env := newPodemEnv(c, scoap, opts.MaxBacktracks)
-	inline := env.newPodem(false)
-	var sched *podemScheduler
-	if opts.Workers > 1 && len(residual) > 1 {
-		sched = newPodemScheduler(env, faults, residual, opts.Workers, ob)
-		defer sched.shutdown()
-	}
+	inline := newPodemEnv(c, scoap, opts.MaxBacktracks).newPodem(false)
 
 	verify := NewFaultSim(c)
 	pending := make([]scan.Pattern, 0, 64)
@@ -351,7 +305,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			t0 = time.Now()
 		}
 		fs64.SetPatterns(pending)
-		credited := fs64.DetectAllMask(faults, detCount, detected, opts.NDetect)
+		credited := fs64.DetectAllMask(faults, detCount, detected, opts.NDetect)[0]
 		for lane := range pending {
 			if credited&(1<<lane) != 0 {
 				patterns = append(patterns, pending[lane])
@@ -361,14 +315,11 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			ob.OnFaultSimBatch("drop", len(pending), time.Since(t0))
 		}
 		pending = pending[:0]
-		if sched != nil {
-			sched.publishSaturation(detCount, opts.NDetect)
-		}
 	}
 
 	attempted := 0
 	capped := false
-	for r, i := range residual {
+	for i := range faults {
 		if len(pending) == 64 {
 			flush()
 		}
@@ -381,9 +332,6 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 		if opts.MaxPodemFaults > 0 && attempted >= opts.MaxPodemFaults {
 			if !capped {
 				capped = true
-				if sched != nil {
-					sched.stop()
-				}
 				// Classify the capped tail against the up-to-date fault
 				// status, not a buffer-stale one.
 				flush()
@@ -400,18 +348,12 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			continue
 		}
 		attempted++
-		var att podemAttempt
-		if sched != nil {
-			att = sched.attempt(r, i, inline)
-		} else {
-			st := inline.run(faults[i])
-			att = podemAttempt{status: st, backtracks: inline.backtracks, assign: inline.assign}
-		}
-		res.Backtracks += att.backtracks
+		st := inline.run(faults[i])
+		res.Backtracks += inline.backtracks
 		if ob.OnPodemFault != nil {
-			ob.OnPodemFault(faults[i], podemOutcomeOf(att.status), att.backtracks)
+			ob.OnPodemFault(faults[i], podemOutcomeOf(st), inline.backtracks)
 		}
-		switch att.status {
+		switch st {
 		case podemSuccess:
 			buffered := 0
 			for detCount[i]+buffered < opts.NDetect {
@@ -420,7 +362,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 					buffered = 0
 					continue
 				}
-				pat := extractPattern(c, att.assign, rng, opts.Fill, plan)
+				pat := extractPattern(c, inline.assign, rng, opts.Fill, plan)
 				// The X-fill must not mask the target fault — PODEM left
 				// the detecting assignment in place, so a miss indicates a
 				// bug; flag it loudly rather than silently losing coverage.
@@ -439,9 +381,6 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 		}
 	}
 	flush()
-	if sched != nil {
-		sched.shutdown()
-	}
 	stopPodem(len(patterns))
 
 	// Phase 3: reverse-order static compaction (quota-aware for NDetect),
@@ -496,40 +435,22 @@ type fillPlan struct {
 	chains [][]int
 }
 
-// newFillPlan derives the partition from an explicit group list (which
-// must cover every flop exactly once) or from Options.FillChains as the
+// newFillPlan derives the partition from Options.FillChains as the
 // round-robin partition scan.NewChains builds.
-func newFillPlan(c *netlist.Circuit, opts Options, groups [][]int) (*fillPlan, error) {
+func newFillPlan(c *netlist.Circuit, opts Options) *fillPlan {
 	nFF := c.NumFFs()
-	if groups == nil {
-		n := opts.FillChains
-		if n < 1 {
-			n = 1
-		}
-		if n > nFF && nFF > 0 {
-			n = nFF
-		}
-		groups = make([][]int, n)
-		for f := 0; f < nFF; f++ {
-			groups[f%n] = append(groups[f%n], f)
-		}
-		return &fillPlan{chains: groups}, nil
+	n := opts.FillChains
+	if n < 1 {
+		n = 1
 	}
-	seen := make([]bool, nFF)
-	for _, g := range groups {
-		for _, f := range g {
-			if f < 0 || f >= nFF || seen[f] {
-				return nil, fmt.Errorf("atpg: fill groups are not a partition (flop %d)", f)
-			}
-			seen[f] = true
-		}
+	if n > nFF && nFF > 0 {
+		n = nFF
 	}
-	for f, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("atpg: flop %d missing from every fill group", f)
-		}
+	groups := make([][]int, n)
+	for f := 0; f < nFF; f++ {
+		groups[f%n] = append(groups[f%n], f)
 	}
-	return &fillPlan{chains: groups}, nil
+	return &fillPlan{chains: groups}
 }
 
 // extractPattern splits PODEM's input assignment (in CombInputs order)

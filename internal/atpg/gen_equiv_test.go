@@ -25,93 +25,6 @@ func loadISCAS(t testing.TB, name string) *netlist.Circuit {
 	return c
 }
 
-// TestGenerateWorkersBitIdentical pins the scheduler's determinism
-// contract: Options.Workers changes wall time only. Every field of the
-// Result — the pattern set bit-for-bit, detection flags and counts,
-// classification counters, and the total backtrack figure — must match
-// the serial schedule for any worker count.
-func TestGenerateWorkersBitIdentical(t *testing.T) {
-	circuits := []struct {
-		name string
-		c    *netlist.Circuit
-	}{
-		{"s27", loadS27(t)},
-		{"s382", loadISCAS(t, "s382")},
-	}
-	for _, tc := range circuits {
-		for _, nd := range []int{1, 3} {
-			opts := DefaultOptions()
-			opts.NDetect = nd
-			opts.Workers = 1
-			base, err := Generate(tc.c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{0, 2, 4, 9} {
-				opts.Workers = w
-				got, err := Generate(tc.c, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("%s ndetect=%d: workers=%d diverges from serial: "+
-						"patterns %d vs %d, backtracks %d vs %d",
-						tc.name, nd, w, len(got.Patterns), len(base.Patterns),
-						got.Backtracks, base.Backtracks)
-				}
-			}
-		}
-	}
-}
-
-// TestGenerateWorkersBitIdenticalLarge repeats the identity check on a
-// circuit big enough that every scheduler path (multiple chunks, buffer
-// flushes publishing saturation mid-queue, worker-side skips) engages.
-func TestGenerateWorkersBitIdenticalLarge(t *testing.T) {
-	c := loadISCAS(t, "s1423")
-	opts := DefaultOptions()
-	opts.Workers = 1
-	base, err := Generate(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 4
-	got, err := Generate(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, base) {
-		t.Errorf("s1423: workers=4 diverges from serial: patterns %d vs %d, backtracks %d vs %d",
-			len(got.Patterns), len(base.Patterns), got.Backtracks, base.Backtracks)
-	}
-}
-
-// TestGenerateWorkersRespectMaxPodemFaults checks the cap interacts
-// correctly with speculation: workers may have run past the cap, but the
-// committer must still classify the capped tail identically.
-func TestGenerateWorkersRespectMaxPodemFaults(t *testing.T) {
-	c := loadISCAS(t, "s382")
-	for _, cap := range []int{1, 5, 20} {
-		opts := DefaultOptions()
-		opts.MaxRandomPatterns = 16
-		opts.MaxPodemFaults = cap
-		opts.Workers = 1
-		base, err := Generate(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers = 4
-		got, err := Generate(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("cap=%d: workers=4 diverges (aborted %d vs %d)",
-				cap, got.Aborted, base.Aborted)
-		}
-	}
-}
-
 // TestDetectAllMaskMatchesSerialCrediting drives the batched
 // fault-dropping pass against a hand-rolled serial per-pattern sweep:
 // same quota skipping, same per-fault credit counts, same set of
@@ -121,7 +34,7 @@ func TestDetectAllMaskMatchesSerialCrediting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	faults := AllFaults(c)
 	serial := NewFaultSim(c)
-	packed := NewFaultSim64(c)
+	packed := NewFaultSimW(c, 64)
 	for _, nd := range []int{1, 2, 5} {
 		for trial := 0; trial < 6; trial++ {
 			batch := randomBatch(c, rng, 1+rng.Intn(64))
@@ -149,7 +62,7 @@ func TestDetectAllMaskMatchesSerialCrediting(t *testing.T) {
 			}
 
 			packed.SetPatterns(batch)
-			pCredited := packed.DetectAllMask(faults, pCount, pDet, nd)
+			pCredited := packed.DetectAllMask(faults, pCount, pDet, nd)[0]
 			if pCredited != sCredited {
 				t.Fatalf("nd=%d trial=%d: credited lanes %064b, serial %064b",
 					nd, trial, pCredited, sCredited)
@@ -268,46 +181,20 @@ func TestRandomPhaseStallMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGenerateChainsRejectsBadPartition: explicit fill groups must be an
-// exact partition of the flops.
-func TestGenerateChainsRejectsBadPartition(t *testing.T) {
-	c := loadS27(t) // 3 flops
-	opts := DefaultOptions()
-	opts.Fill = FillAdjacent
-	bad := [][][]int{
-		{{0, 1}},         // flop 2 missing
-		{{0, 1, 2, 2}},   // duplicate in one chain
-		{{0, 1, 3}},      // out of range
-		{{0, 1}, {1, 2}}, // duplicate across chains
-		{{0, -1, 2}},     // negative
-	}
-	for _, groups := range bad {
-		if _, err := GenerateChains(context.Background(), c, opts, groups); err == nil {
-			t.Errorf("groups %v: want error, got nil", groups)
-		}
-	}
-}
-
-// TestGenerateChainsMatchesFillChains: passing the round-robin partition
-// explicitly is the same as asking for it by count.
-func TestGenerateChainsMatchesFillChains(t *testing.T) {
+// TestFillPlanMatchesScanChains: the partition FillAdjacent fills along
+// is exactly the one scan.NewChains builds for the measured structure,
+// including the clamp when more chains than flops are asked for.
+func TestFillPlanMatchesScanChains(t *testing.T) {
 	c := loadISCAS(t, "s382") // 21 flops
-	cs, err := scan.NewChains(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Fill = FillAdjacent
-	opts.FillChains = 3
-	implicit, err := Generate(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := GenerateChains(context.Background(), c, opts, cs.Groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(implicit, explicit) {
-		t.Error("explicit round-robin groups diverge from FillChains")
+	for _, n := range []int{1, 3, c.NumFFs() + 5} {
+		cs, err := scan.NewChains(c, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.FillChains = n
+		if got := newFillPlan(c, opts).chains; !reflect.DeepEqual(got, cs.Groups) {
+			t.Errorf("n=%d: fill plan %v, scan chains %v", n, got, cs.Groups)
+		}
 	}
 }

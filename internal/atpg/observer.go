@@ -54,16 +54,8 @@ type Observer struct {
 	// OnFaultSimBatch fires after each packed fault-dropping pass: kind is
 	// "drop" (deterministic-phase pattern buffer flush) or "compact"
 	// (static compaction), lanes is how many pattern lanes the pass
-	// simulated. Emitted from the committer goroutine only, in
-	// deterministic order for a given seed and options.
+	// simulated, in deterministic order for a given seed and options.
 	OnFaultSimBatch func(kind string, lanes int, elapsed time.Duration)
-	// OnPodemChunk fires after a fault-parallel scheduler worker finishes
-	// one chunk of the residual fault queue: the chunk's start offset and
-	// length in the residual list, and its wall time. Only set when
-	// Options.Workers > 1 engages the scheduler, and — unlike every other
-	// callback — invoked concurrently from worker goroutines;
-	// implementations must be goroutine-safe.
-	OnPodemChunk func(start, n int, elapsed time.Duration)
 }
 
 // phaseTimer returns a stopper for the named phase, or a no-op when

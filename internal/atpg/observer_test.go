@@ -108,7 +108,7 @@ func TestZeroObserverAddsNoAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := testing.AllocsPerRun(5, func() {
-		if _, err := GenerateContext(ctx, c, opts); err != nil {
+		if _, err := Generate(c, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

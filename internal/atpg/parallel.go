@@ -37,14 +37,13 @@ import (
 // exact, and DetectAllMask credits lowest lanes first — ascending word,
 // then ascending bit — which is exactly the order the early-exit word
 // walk discovers them, so results are independent of the width.
-// FaultSim64 wraps the 64-lane instantiation behind the original
-// single-word API for the generation phases whose rng stream and stall
-// accounting are defined in 64-pattern batches.
+// Generate's random phase and deterministic fault-dropping buffer run a
+// 64-lane instance (word [0] of each mask), because their rng stream and
+// stall accounting are defined in 64-pattern batches.
 type FaultSimW struct {
 	c    *netlist.Circuit
 	prog *sim.Program
 	ww   int // words per net (lane count / 64)
-	n    int // number of valid pattern lanes (1..64*ww)
 
 	good   []uint64 // NumNets()*ww; net n's words at [n*ww : (n+1)*ww]
 	faulty []uint64 // == good outside a pass; patched back via touched
@@ -157,9 +156,8 @@ func (fs *FaultSimW) SetPatterns(patterns []scan.Pattern) {
 		panic(fmt.Sprintf("atpg: SetPatterns needs 1..%d patterns, got %d", fs.ww*64, len(patterns)))
 	}
 	ww := fs.ww
-	fs.n = len(patterns)
 	for k := 0; k < ww; k++ {
-		rem := fs.n - k*64
+		rem := len(patterns) - k*64
 		switch {
 		case rem >= 64:
 			fs.lanes[k] = ^uint64(0)
@@ -399,48 +397,6 @@ func (fs *FaultSimW) DetectAllMask(faults []Fault, detCount []int, detected []bo
 	}
 	return cred
 }
-
-// Lanes returns the number of loaded pattern lanes (0 before the first
-// SetPatterns call); telemetry uses it to count packed work.
-func (fs *FaultSimW) Lanes() int { return fs.n }
-
-// FaultSim64 is the 64-lane instantiation of FaultSimW behind the
-// original single-word API: each mask is one uint64 over up to 64
-// pattern lanes. The random phase and the deterministic pending buffer of
-// Generate stay on this width — their rng stream and stall accounting are
-// defined per 64-pattern batch — while width-free passes (compaction,
-// coverage audits) run FaultSimW at the configured lane count.
-type FaultSim64 struct {
-	w *FaultSimW
-}
-
-// NewFaultSim64 builds a 64-lane parallel simulator for the frozen
-// circuit c.
-func NewFaultSim64(c *netlist.Circuit) *FaultSim64 {
-	return &FaultSim64{w: NewFaultSimW(c, 64)}
-}
-
-// SetPatterns loads up to 64 patterns (lane i = patterns[i]) and runs the
-// good-circuit simulation.
-func (fs *FaultSim64) SetPatterns(patterns []scan.Pattern) {
-	fs.w.SetPatterns(patterns)
-}
-
-// DetectMask returns, as a bitmask over the loaded lanes, the patterns
-// that detect fault f at a primary output or flop data input.
-func (fs *FaultSim64) DetectMask(f Fault) uint64 {
-	return fs.w.DetectMask(f)[0]
-}
-
-// DetectAllMask is FaultSimW.DetectAllMask over the 64-lane batch; see
-// that method for the lowest-lane crediting contract.
-func (fs *FaultSim64) DetectAllMask(faults []Fault, detCount []int, detected []bool, nDetect int) uint64 {
-	return fs.w.DetectAllMask(faults, detCount, detected, nDetect)[0]
-}
-
-// Lanes returns the number of loaded pattern lanes (0 before the first
-// SetPatterns call); telemetry uses it to count packed work.
-func (fs *FaultSim64) Lanes() int { return fs.w.Lanes() }
 
 // Fused (type, arity) opcodes for the event loop: the dominant one- and
 // two-input gates dispatch straight to a branch-free body instead of

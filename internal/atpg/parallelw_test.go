@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,9 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFaultSimWAgainstSerial cross-validates the wide simulator against
-// the serial one, lane by lane, over batch sizes crossing every word
-// boundary, and requires silence beyond the loaded lanes.
+// TestFaultSimWAgainstSerial cross-validates the packed simulator
+// against the serial one, lane by lane, at the 64-lane width Generate's
+// random and dropping phases run and at the wide width, over batch sizes
+// crossing every word boundary, and requires silence beyond the loaded
+// lanes (a one-pattern batch may only ever set lane 0).
 func TestFaultSimWAgainstSerial(t *testing.T) {
 	c, err := bench.ParseString(s27, "s27")
 	if err != nil {
@@ -21,26 +24,31 @@ func TestFaultSimWAgainstSerial(t *testing.T) {
 	}
 	faults := AllFaults(c)
 	fsS := NewFaultSim(c)
-	fsW := NewFaultSimW(c, sim.WideLanes)
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 63, 64, 65, 127, 128, 200, 256} {
-		batch := randomBatch(c, rng, n)
-		fsW.SetPatterns(batch)
-		for _, f := range faults {
-			mask := fsW.DetectMask(f)
-			for lane := 0; lane < n; lane++ {
-				fsS.SetPattern(batch[lane].PI, batch[lane].State)
-				want := fsS.Detects(f)
-				got := mask[lane>>6]>>uint(lane&63)&1 == 1
-				if got != want {
-					t.Fatalf("n=%d fault %s lane %d: wide=%v serial=%v",
-						n, f.Name(c), lane, got, want)
-				}
+	for _, width := range []int{64, sim.WideLanes} {
+		fsW := NewFaultSimW(c, width)
+		rng := rand.New(rand.NewSource(23))
+		for _, n := range []int{1, 33, 63, 64, 65, 127, 128, 200, 256} {
+			if n > width {
+				continue
 			}
-			for lane := n; lane < sim.WideLanes; lane++ {
-				if mask[lane>>6]>>uint(lane&63)&1 == 1 {
-					t.Fatalf("n=%d fault %s: mask bit set at invalid lane %d",
-						n, f.Name(c), lane)
+			batch := randomBatch(c, rng, n)
+			fsW.SetPatterns(batch)
+			for _, f := range faults {
+				mask := fsW.DetectMask(f)
+				for lane := 0; lane < n; lane++ {
+					fsS.SetPattern(batch[lane].PI, batch[lane].State)
+					want := fsS.Detects(f)
+					got := mask[lane>>6]>>uint(lane&63)&1 == 1
+					if got != want {
+						t.Fatalf("width=%d n=%d fault %s lane %d: packed=%v serial=%v",
+							width, n, f.Name(c), lane, got, want)
+					}
+				}
+				for lane := n; lane < width; lane++ {
+					if mask[lane>>6]>>uint(lane&63)&1 == 1 {
+						t.Fatalf("width=%d n=%d fault %s: mask bit set at invalid lane %d",
+							width, n, f.Name(c), lane)
+					}
 				}
 			}
 		}
@@ -67,7 +75,7 @@ func TestDetectAllMaskWidthInvariance(t *testing.T) {
 		wDet := make([]bool, len(faults))
 		wCred := append([]uint64(nil), wide.DetectAllMask(faults, wCount, wDet, nd)...)
 
-		narrow := NewFaultSim64(c)
+		narrow := NewFaultSimW(c, 64)
 		nCount := make([]int, len(faults))
 		nDet := make([]bool, len(faults))
 		var nCred []uint64
@@ -77,7 +85,7 @@ func TestDetectAllMaskWidthInvariance(t *testing.T) {
 				end = len(batch)
 			}
 			narrow.SetPatterns(batch[start:end])
-			nCred = append(nCred, narrow.DetectAllMask(faults, nCount, nDet, nd))
+			nCred = append(nCred, narrow.DetectAllMask(faults, nCount, nDet, nd)[0])
 		}
 		for len(nCred) < len(wCred) {
 			nCred = append(nCred, 0)
@@ -149,7 +157,8 @@ func TestGenerateLanesInvariance(t *testing.T) {
 }
 
 // TestFaultSimWPanicsNameOffender: constructor and batch panics must name
-// what went wrong — the circuit, the width, or the batch size.
+// what went wrong — the circuit, the width, or the (oversized or empty)
+// batch size.
 func TestFaultSimWPanicsNameOffender(t *testing.T) {
 	c, err := bench.ParseString(s27, "s27")
 	if err != nil {
@@ -172,14 +181,16 @@ func TestFaultSimWPanicsNameOffender(t *testing.T) {
 		fs := NewFaultSimW(c, sim.WideLanes)
 		fs.SetPatterns(randomBatch(c, rand.New(rand.NewSource(1)), sim.WideLanes+1))
 	})
+	mustPanic("got 0", func() { NewFaultSimW(c, 64).SetPatterns(nil) })
 	mustPanic("invalid lane width 100", func() { NewFaultSimW(c, 100) })
 	unfrozen := netlist.New("melted")
 	unfrozen.AddPI("a")
 	mustPanic("melted", func() { NewFaultSimW(unfrozen, 64) })
 }
 
-// BenchmarkFaultSimWBatch is BenchmarkFaultSim64Batch at the wide width:
-// one 256-pattern load and a full fault sweep per iteration.
+// BenchmarkFaultSimWBatch: one full-width pattern load and a full fault
+// sweep per iteration, at the 64-lane width of Generate's random and
+// dropping phases and at the wide compaction width.
 func BenchmarkFaultSimWBatch(b *testing.B) {
 	p, _ := iscas.ByName("s1423")
 	c, err := iscas.Generate(p)
@@ -187,14 +198,17 @@ func BenchmarkFaultSimWBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := AllFaults(c)
-	fs := NewFaultSimW(c, sim.WideLanes)
-	rng := rand.New(rand.NewSource(12))
-	batch := randomBatch(c, rng, sim.WideLanes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.SetPatterns(batch)
-		for _, f := range faults {
-			fs.DetectMask(f)
-		}
+	for _, width := range []int{64, sim.WideLanes} {
+		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
+			fs := NewFaultSimW(c, width)
+			batch := randomBatch(c, rand.New(rand.NewSource(12)), width)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.SetPatterns(batch)
+				for _, f := range faults {
+					fs.DetectMask(f)
+				}
+			}
+		})
 	}
 }

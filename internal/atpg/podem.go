@@ -22,8 +22,8 @@ const (
 // decision-input enumeration, topological gate ranks (for canonical
 // D-frontier selection), the observed-net set, and the optional SCOAP
 // guidance. It is built once per generation instead of once per fault,
-// and is read-only after construction, so one env safely backs many
-// engines across scheduler workers.
+// and is read-only after construction, so one env can back both the
+// incremental engine and its full-mode reference.
 type podemEnv struct {
 	c      *netlist.Circuit
 	inputs []netlist.NetID
@@ -117,8 +117,8 @@ type podemDecision struct {
 }
 
 // newPodem builds an engine bound to env; one engine is reused across
-// faults via run(f), so the per-net arrays are allocated once per worker
-// rather than once per fault.
+// faults via run(f), so the per-net arrays are allocated once per
+// generation rather than once per fault.
 func (env *podemEnv) newPodem(full bool) *podem {
 	c := env.c
 	return &podem{

@@ -1,18 +1,17 @@
 // Package cliflags centralizes the flag definitions and validation that
-// the scanpower commands share. cmd/tableone, cmd/scanpower and
-// cmd/scanpowerd all take the same lane-width, worker-pool and timeout
-// knobs, and — for anything that boots or joins a scanpowerd cluster —
-// the same cluster flags (-peers, -store-dir, -store-max-bytes). Defining them here once keeps the
-// usage strings, defaults and validation identical everywhere, so a new
-// flag lands in every command by construction.
+// the scanpower commands share: cmd/tableone, cmd/scanpower and
+// cmd/scanpowerd all take the same -lanes knob, resolved into a Config
+// by Config, and anything that boots or joins a scanpowerd cluster takes
+// the same cluster flags (-peers, -store-dir, -store-max-bytes).
+// Defining them here once keeps the usage strings, defaults and
+// validation identical everywhere, so a new shared flag lands in every
+// command by construction.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/sim"
@@ -35,37 +34,6 @@ func ValidateLanes(n int) (int, error) {
 		return 0, fmt.Errorf("-lanes must be 0 or one of %v, got %d", sim.LaneWidths(), n)
 	}
 	return w, nil
-}
-
-// Workers registers the worker-pool size flag under name ("j" for the
-// batch tools, "workers" for the daemon) and returns its value.
-func Workers(fs *flag.FlagSet, name string, def int, usage string) *int {
-	return fs.Int(name, def, usage)
-}
-
-// ATPGWorkers registers the -atpg-workers knob — the fault-parallel
-// PODEM worker count inside the ATPG stage — and returns its value.
-// Resolve with ValidateATPGWorkers after fs.Parse.
-func ATPGWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("atpg-workers", 1,
-		"fault-parallel PODEM workers inside the ATPG stage (0 = GOMAXPROCS, 1 = serial); patterns are bit-identical for every value")
-}
-
-// ValidateATPGWorkers resolves an -atpg-workers value: 0 means
-// GOMAXPROCS, positive counts pass through, negative is an error.
-func ValidateATPGWorkers(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("-atpg-workers must be >= 0, got %d", n)
-	}
-	if n == 0 {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	return n, nil
-}
-
-// Timeout registers a duration flag under name and returns its value.
-func Timeout(fs *flag.FlagSet, name string, def time.Duration, usage string) *time.Duration {
-	return fs.Duration(name, def, usage)
 }
 
 // Config returns DefaultConfig with the validated -lanes selection

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -12,20 +11,18 @@ import (
 func TestSharedFlagsParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	lanes := Lanes(fs)
-	workers := Workers(fs, "j", 4, "worker pool size")
-	timeout := Timeout(fs, "timeout", 0, "run deadline")
 	cluster := ClusterFlags(fs)
 
 	err := fs.Parse([]string{
-		"-lanes", "64", "-j", "2", "-timeout", "90s",
+		"-lanes", "64",
 		"-peers", " 10.0.0.2:8344, http://10.0.0.3:8344/ ,",
 		"-store-dir", "/tmp/s", "-store-max-bytes", "1024",
 	})
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if *lanes != 64 || *workers != 2 || *timeout != 90*time.Second {
-		t.Errorf("parsed %d %d %v", *lanes, *workers, *timeout)
+	if *lanes != 64 {
+		t.Errorf("parsed -lanes %d", *lanes)
 	}
 	if cluster.StoreDir != "/tmp/s" || cluster.StoreMaxBytes != 1024 {
 		t.Errorf("cluster = %+v", cluster)

@@ -97,18 +97,9 @@ func recorderLines(t *testing.T, cfg Config, names []string) []string {
 }
 
 // pinnedRecorderOutput is the fixed run TestRecorderPinnedOutput pins:
-// s344 and s382 with one PODEM worker, plus the podem-chunk spans (names
-// and attributes only; the chunking varies run to run) of s382 with two
-// PODEM workers.
+// s344 and s382 under DefaultConfig.
 func pinnedRecorderOutput(t *testing.T) string {
 	lines := recorderLines(t, DefaultConfig(), []string{"s344", "s382"})
-	cfg := DefaultConfig()
-	cfg.ATPG.Workers = 2
-	for _, l := range recorderLines(t, cfg, []string{"s382"}) {
-		if strings.HasPrefix(l, "span span podem-chunk ") {
-			lines = append(lines, l[:strings.LastIndex(l, " x")])
-		}
-	}
 	return strings.Join(lines, "\n") + "\n"
 }
 

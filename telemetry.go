@@ -194,12 +194,6 @@ func (r *Recorder) handle(ev Event) {
 				"stage": ev.Stage, "kind": ev.Name, "lanes": ev.Lanes,
 			})
 		}
-	case EventPodemChunk:
-		if r.tw != nil {
-			r.completed(ev, "podem-chunk", map[string]any{
-				"stage": ev.Stage, "start": ev.Index, "faults": ev.Count,
-			})
-		}
 	}
 }
 
