@@ -4,11 +4,81 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
+
+// TestFaultSim64AgainstSerial cross-validates the 64-lane packed
+// simulator Generate's random and dropping phases run against the serial
+// one, lane by lane, over random batches.
+func TestFaultSim64AgainstSerial(t *testing.T) {
+	c, err := bench.ParseString(s27, "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := AllFaults(c)
+	fsS := NewFaultSim(c)
+	fsP := NewFaultSimW(c, 64)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 10; trial++ {
+		n := 1 + rng.Intn(64)
+		batch := make([]scan.Pattern, n)
+		for i := range batch {
+			batch[i] = scan.Pattern{
+				PI:    make([]bool, len(c.PIs)),
+				State: make([]bool, c.NumFFs()),
+			}
+			sim.RandomVector(rng, batch[i].PI)
+			sim.RandomVector(rng, batch[i].State)
+		}
+		fsP.SetPatterns(batch)
+		for _, f := range faults {
+			mask := fsP.DetectMask(f)[0]
+			for lane := 0; lane < n; lane++ {
+				fsS.SetPattern(batch[lane].PI, batch[lane].State)
+				want := fsS.Detects(f)
+				got := mask&(1<<lane) != 0
+				if got != want {
+					t.Fatalf("trial %d fault %s lane %d: parallel=%v serial=%v",
+						trial, f.Name(c), lane, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestFaultSim64LaneMaskRespectsBatchSize(t *testing.T) {
+	c, err := bench.ParseString(s27, "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One pattern: only lane 0 may ever be set.
+	p := scan.Pattern{PI: make([]bool, len(c.PIs)), State: make([]bool, c.NumFFs())}
+	fs := NewFaultSimW(c, 64)
+	fs.SetPatterns([]scan.Pattern{p})
+	for _, f := range AllFaults(c) {
+		if mask := fs.DetectMask(f); len(mask) != 1 || mask[0]&^1 != 0 {
+			t.Fatalf("fault %s: mask %b has bits beyond lane 0", f.Name(c), mask)
+		}
+	}
+}
+
+func TestFaultSim64PanicsOnBadBatch(t *testing.T) {
+	c, err := bench.ParseString(s27, "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFaultSimW(c, 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("empty batch did not panic")
+		}
+	}()
+	fs.SetPatterns(nil)
+}
 
 // TestGenerateParallelPhaseCoverageParity: the 64-way random phase must
 // not lose coverage relative to an independent full re-simulation of the

@@ -12,11 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFaultSimWAgainstSerial cross-validates the packed simulator
-// against the serial one, lane by lane, at the 64-lane width Generate's
-// random and dropping phases run and at the wide width, over batch sizes
-// crossing every word boundary, and requires silence beyond the loaded
-// lanes (a one-pattern batch may only ever set lane 0).
+// TestFaultSimWAgainstSerial cross-validates the wide simulator against
+// the serial one, lane by lane, over batch sizes crossing every word
+// boundary, and requires silence beyond the loaded lanes.
 func TestFaultSimWAgainstSerial(t *testing.T) {
 	c, err := bench.ParseString(s27, "s27")
 	if err != nil {
@@ -24,31 +22,26 @@ func TestFaultSimWAgainstSerial(t *testing.T) {
 	}
 	faults := AllFaults(c)
 	fsS := NewFaultSim(c)
-	for _, width := range []int{64, sim.WideLanes} {
-		fsW := NewFaultSimW(c, width)
-		rng := rand.New(rand.NewSource(23))
-		for _, n := range []int{1, 33, 63, 64, 65, 127, 128, 200, 256} {
-			if n > width {
-				continue
-			}
-			batch := randomBatch(c, rng, n)
-			fsW.SetPatterns(batch)
-			for _, f := range faults {
-				mask := fsW.DetectMask(f)
-				for lane := 0; lane < n; lane++ {
-					fsS.SetPattern(batch[lane].PI, batch[lane].State)
-					want := fsS.Detects(f)
-					got := mask[lane>>6]>>uint(lane&63)&1 == 1
-					if got != want {
-						t.Fatalf("width=%d n=%d fault %s lane %d: packed=%v serial=%v",
-							width, n, f.Name(c), lane, got, want)
-					}
+	fsW := NewFaultSimW(c, sim.WideLanes)
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 200, 256} {
+		batch := randomBatch(c, rng, n)
+		fsW.SetPatterns(batch)
+		for _, f := range faults {
+			mask := fsW.DetectMask(f)
+			for lane := 0; lane < n; lane++ {
+				fsS.SetPattern(batch[lane].PI, batch[lane].State)
+				want := fsS.Detects(f)
+				got := mask[lane>>6]>>uint(lane&63)&1 == 1
+				if got != want {
+					t.Fatalf("n=%d fault %s lane %d: wide=%v serial=%v",
+						n, f.Name(c), lane, got, want)
 				}
-				for lane := n; lane < width; lane++ {
-					if mask[lane>>6]>>uint(lane&63)&1 == 1 {
-						t.Fatalf("width=%d n=%d fault %s: mask bit set at invalid lane %d",
-							width, n, f.Name(c), lane)
-					}
+			}
+			for lane := n; lane < sim.WideLanes; lane++ {
+				if mask[lane>>6]>>uint(lane&63)&1 == 1 {
+					t.Fatalf("n=%d fault %s: mask bit set at invalid lane %d",
+						n, f.Name(c), lane)
 				}
 			}
 		}
@@ -157,8 +150,7 @@ func TestGenerateLanesInvariance(t *testing.T) {
 }
 
 // TestFaultSimWPanicsNameOffender: constructor and batch panics must name
-// what went wrong — the circuit, the width, or the (oversized or empty)
-// batch size.
+// what went wrong — the circuit, the width, or the batch size.
 func TestFaultSimWPanicsNameOffender(t *testing.T) {
 	c, err := bench.ParseString(s27, "s27")
 	if err != nil {
@@ -181,7 +173,6 @@ func TestFaultSimWPanicsNameOffender(t *testing.T) {
 		fs := NewFaultSimW(c, sim.WideLanes)
 		fs.SetPatterns(randomBatch(c, rand.New(rand.NewSource(1)), sim.WideLanes+1))
 	})
-	mustPanic("got 0", func() { NewFaultSimW(c, 64).SetPatterns(nil) })
 	mustPanic("invalid lane width 100", func() { NewFaultSimW(c, 100) })
 	unfrozen := netlist.New("melted")
 	unfrozen.AddPI("a")
